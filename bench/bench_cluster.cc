@@ -21,7 +21,7 @@
  *
  * Usage: bench_cluster [--small] [--threads=N] [--queues=N]
  *                      [--qdepth=N] [--out=FILE] [--json=FILE]
- *                      [--trace=FILE]
+ *                      [--wall=FILE] [--trace=FILE]
  *   --small        CI preset: same 8-shard shape, ~3k ops, traced
  *   --threads=N    run every mix at exactly N engine threads (skips
  *                  the 1/2/8 identity sweep; CI runs this twice and
@@ -32,6 +32,12 @@
  *                  counters, metrics; no wall clock, no thread count)
  *   --json=FILE    BENCH_cluster.json summary (default when neither
  *                  --out nor --json given: BENCH_cluster.json)
+ *   --wall=FILE    informational host wall time of every run, split
+ *                  into build / run / verify / digest / report /
+ *                  teardown, plus hardware_concurrency (default when
+ *                  neither --out nor --json given:
+ *                  BENCH_cluster_wall.json). Never gated: it varies
+ *                  with the host.
  *   --trace=FILE   Chrome trace of the LAST mix's serial run (small
  *                  preset only; feeds trace_dump --validate)
  */
@@ -40,6 +46,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -66,10 +75,8 @@ struct Mix
  * The 1M+ simulated-user fleet. With keySpace 2M and ~2.1M uniform
  * key draws, the expected distinct-user count is
  * 2M * (1 - e^(-2.1/2)) ~ 1.3M; the bench asserts >= 1M.
- * The GC preset is off: a 2M-key store would make every AOF-rewrite
- * snapshot of the tiny 128 KiB region quadratically expensive, and
- * the fleet-scale question here is scheduling, not GC (bench_sweep
- * covers GC-active cluster cells).
+ * The GC preset is off: the fleet-scale question here is scheduling,
+ * not GC (bench_sweep covers GC-active cluster cells).
  */
 ClusterConfig
 fullFleet()
@@ -127,8 +134,11 @@ makeMixes(bool small)
 struct MixRun
 {
     const char *name = "";
+    unsigned threads = 1;
     ClusterResult res;
     double wallMs = 0.0;
+    /** Host wall per runCluster phase, in phase order. */
+    std::vector<std::pair<std::string, double>> phaseMs;
 };
 
 MixRun
@@ -138,9 +148,15 @@ runMix(const Mix &mix, unsigned threads, sim::Tracer *trace)
     cfg.engineThreads = threads;
     MixRun run;
     run.name = mix.name;
-    Stopwatch sw;
-    run.res = workload::runCluster(cfg, trace);
-    run.wallMs = sw.ms();
+    run.threads = threads;
+    Stopwatch total;
+    Stopwatch phase;
+    run.res = workload::runCluster(
+        cfg, trace, [&](std::string_view name) {
+            run.phaseMs.emplace_back(std::string(name), phase.ms());
+            phase.restart();
+        });
+    run.wallMs = total.ms();
     return run;
 }
 
@@ -223,6 +239,40 @@ writeArtifact(std::ostream &os, const std::vector<MixRun> &runs)
     os << "  ]\n}\n";
 }
 
+/**
+ * The informational host-wall artifact: every run's wall time and its
+ * per-phase split, with the host's core count. Never compared or
+ * gated; it shows where simulator time goes on this host.
+ */
+void
+writeWall(std::ostream &os, const std::vector<MixRun> &runs,
+          unsigned shards)
+{
+    os << "{\n  \"scenario\": \"cluster-" << shards
+       << "shard-bawal\",\n  \"informational\": \"host wall time, "
+          "varies by host and run; never gated\",\n"
+       << "  \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n  \"runs\": [\n";
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const MixRun &run = runs[i];
+        char buf[128];
+        std::snprintf(buf, sizeof buf,
+                      "    {\"mix\": \"%s\", \"engine_threads\": %u, "
+                      "\"wall_ms\": %.1f, \"phase_ms\": {",
+                      run.name, run.threads, run.wallMs);
+        os << buf;
+        for (std::size_t p = 0; p < run.phaseMs.size(); ++p) {
+            std::snprintf(buf, sizeof buf, "%s\"%s\": %.1f",
+                          p > 0 ? ", " : "",
+                          run.phaseMs[p].first.c_str(),
+                          run.phaseMs[p].second);
+            os << buf;
+        }
+        os << "}}" << (i + 1 < runs.size() ? ",\n" : "\n");
+    }
+    os << "  ]\n}\n";
+}
+
 void
 printRow(const MixRun &run)
 {
@@ -251,9 +301,13 @@ main(int argc, char **argv)
     const std::string qdepthFlag = stringArg(argc, argv, "--qdepth");
     const std::string outPath = stringArg(argc, argv, "--out");
     std::string jsonPath = stringArg(argc, argv, "--json");
+    std::string wallPath = stringArg(argc, argv, "--wall");
     const std::string tracePath = stringArg(argc, argv, "--trace");
-    if (jsonPath.empty() && outPath.empty())
+    if (jsonPath.empty() && outPath.empty()) {
         jsonPath = "BENCH_cluster.json";
+        if (wallPath.empty())
+            wallPath = "BENCH_cluster_wall.json";
+    }
 
     std::vector<Mix> mixes = makeMixes(small);
     if (!queuesFlag.empty() || !qdepthFlag.empty()) {
@@ -275,6 +329,8 @@ main(int argc, char **argv)
                           ")");
 
     std::vector<MixRun> runs;
+    /** Every run made, threaded identity runs included (--wall). */
+    std::vector<MixRun> allRuns;
     bool verified = false;
 
     if (!threadsFlag.empty()) {
@@ -288,6 +344,7 @@ main(int argc, char **argv)
             const bool wantTrace = small && !tracePath.empty();
             runs.push_back(
                 runMix(mix, n, wantTrace ? &tracer : nullptr));
+            allRuns.push_back(runs.back());
             printRow(runs.back());
             if (wantTrace) {
                 std::ofstream ts(tracePath);
@@ -304,8 +361,10 @@ main(int argc, char **argv)
             const bool wantTrace = small && !tracePath.empty();
             MixRun serial =
                 runMix(mix, 1, wantTrace ? &tracer : nullptr);
+            allRuns.push_back(serial);
             for (unsigned n : {2u, 8u}) {
                 MixRun t = runMix(mix, n, nullptr);
+                allRuns.push_back(t);
                 if (t.res.stateDigest != serial.res.stateDigest ||
                     t.res.metricsJson != serial.res.metricsJson ||
                     t.res.sloSeriesJson != serial.res.sloSeriesJson ||
@@ -357,6 +416,11 @@ main(int argc, char **argv)
         std::ofstream os(jsonPath);
         writeSummary(os, runs, mixes.front().cfg.shards, verified);
         std::printf("\nwrote %s\n", jsonPath.c_str());
+    }
+    if (!wallPath.empty()) {
+        std::ofstream os(wallPath);
+        writeWall(os, allRuns, mixes.front().cfg.shards);
+        std::printf("wrote %s\n", wallPath.c_str());
     }
     if (!outPath.empty()) {
         std::ofstream os(outPath);

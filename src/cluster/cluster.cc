@@ -1,9 +1,13 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -41,6 +45,20 @@ std::string
 redisKey(std::uint64_t key)
 {
     return "k" + std::to_string(key);
+}
+
+/** The router key a redisKey() text names; nullopt for other text. */
+std::optional<std::uint64_t>
+routerKeyOf(std::string_view key)
+{
+    std::uint64_t id = 0;
+    const char *end = key.data() + key.size();
+    if (key.size() < 2 || key[0] != 'k')
+        return std::nullopt;
+    const auto [ptr, ec] = std::from_chars(key.data() + 1, end, id);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return id;
 }
 
 /** FNV-1a fold helper shared by the digest paths. */
@@ -582,9 +600,9 @@ Cluster::runStep(std::size_t step)
         engine_.lookahead(host_.id(), shardDoms_[mr.from]->id());
 
     // Hop 1: read the moving keys out of the victim, in its domain,
-    // through the store's sorted iterator. The moving keys cannot
-    // change under us: their operations are parked at the router and
-    // the victim's in-flight batches drained before this step. (The
+    // in the store's key order. The moving keys cannot change under
+    // us: their operations are parked at the router and the victim's
+    // in-flight batches drained before this step. (The
     // map is read-only until the flip, so consulting it from the
     // shard domain here is a benign concurrent read.)
     // Every hop carries the rebalance's trace context, so the spans
@@ -598,33 +616,50 @@ Cluster::runStep(std::size_t step)
         sim::Tick t = std::max(sh.clock, dom.now());
         auto moved = std::make_shared<std::vector<
             std::pair<std::uint64_t, std::vector<std::uint8_t>>>>();
+        auto moving = [&](std::uint64_t id) {
+            const std::uint64_t p = map_.point(id);
+            return p >= mr.begin && p < mr.end;
+        };
+        // The stores walk in hash order; the moving subset is sorted
+        // by store key before any op is issued, so the copy replays
+        // in the same (key-text / id) order at any thread count.
         if (sh.redis) {
-            sh.redis->forEachSorted(
+            std::vector<std::pair<const std::string *,
+                                  std::span<const std::uint8_t>>>
+                hits;
+            sh.redis->forEachUnordered(
                 [&](const std::string &key,
                     std::span<const std::uint8_t> value) {
-                    const std::uint64_t id =
-                        std::stoull(key.substr(1));
-                    const std::uint64_t p = map_.point(id);
-                    if (p < mr.begin || p >= mr.end)
-                        return;
-                    moved->emplace_back(
-                        id, std::vector<std::uint8_t>(value.begin(),
-                                                      value.end()));
+                    const auto id = routerKeyOf(key);
+                    if (id && moving(*id))
+                        hits.emplace_back(&key, value);
                 });
+            std::sort(hits.begin(), hits.end(),
+                      [](const auto &a, const auto &b) {
+                          return *a.first < *b.first;
+                      });
+            for (const auto &[key, value] : hits) {
+                moved->emplace_back(
+                    *routerKeyOf(*key),
+                    std::vector<std::uint8_t>(value.begin(),
+                                              value.end()));
+            }
             for (const auto &kv : *moved)
                 t = sh.redis->get(t, redisKey(kv.first));
         } else {
-            sh.pg->forEachNodeSorted(
+            sh.pg->forEachNodeUnordered(
                 [&](std::uint64_t id,
                     std::span<const std::uint8_t> payload) {
-                    const std::uint64_t p = map_.point(id);
-                    if (p < mr.begin || p >= mr.end)
-                        return;
-                    moved->emplace_back(
-                        id,
-                        std::vector<std::uint8_t>(payload.begin(),
-                                                  payload.end()));
+                    if (moving(id)) {
+                        moved->emplace_back(
+                            id, std::vector<std::uint8_t>(
+                                    payload.begin(), payload.end()));
+                    }
                 });
+            std::sort(moved->begin(), moved->end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
             for (const auto &kv : *moved)
                 t = sh.pg->getNode(t, kv.first);
         }
@@ -807,35 +842,94 @@ Cluster::shardItems(unsigned shard) const
 void
 Cluster::verifyConsistency() const
 {
+    // One unordered walk per store, so the walk may only select: it
+    // keeps the smallest offending (key id, shard, key text) and the
+    // panic names that one, whatever order the hash maps visit in.
+    struct Offense
+    {
+        std::uint64_t id = 0;
+        unsigned shard = 0;
+        std::string key; ///< redis key text (tie-break); "" for pg
+        std::string what;
+    };
+    std::optional<Offense> worst;
+    auto offend = [&](std::uint64_t id, unsigned s, std::string_view key,
+                      auto &&what) {
+        if (worst && std::tuple(worst->id, worst->shard,
+                                std::string_view(worst->key)) <=
+                         std::tuple(id, s, key))
+            return;
+        worst = Offense{id, s, std::string(key), what()};
+    };
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         const Shard &sh = *shards_[s];
-        auto check = [&](std::uint64_t id,
+        auto check = [&](std::uint64_t id, std::string_view key,
                          std::span<const std::uint8_t> value) {
+            if (id >= map_.keySpace()) {
+                offend(id, s, key, [&] {
+                    return "key " + std::to_string(id) + " on shard " +
+                           std::to_string(s) +
+                           " lies outside the key space " +
+                           std::to_string(map_.keySpace());
+                });
+                return;
+            }
             const unsigned owner = map_.shardOf(id);
             if (owner != s) {
-                sim::panic("cluster consistency: key ", id,
-                           " stored on shard ", s, " but the map (",
-                           map_.describe(), ") owns it to shard ",
-                           owner);
+                offend(id, s, key, [&] {
+                    return "key " + std::to_string(id) +
+                           " stored on shard " + std::to_string(s) +
+                           " but the map (" + map_.describe() +
+                           ") owns it to shard " + std::to_string(owner);
+                });
+                return;
             }
             for (std::size_t i = 0; i < value.size(); ++i) {
                 if (value[i] != static_cast<std::uint8_t>(id + i)) {
-                    sim::panic("cluster consistency: key ", id,
-                               " on shard ", s,
-                               " has corrupt payload byte ", i);
+                    offend(id, s, key, [&] {
+                        return "key " + std::to_string(id) +
+                               " on shard " + std::to_string(s) +
+                               " has corrupt payload byte " +
+                               std::to_string(i);
+                    });
+                    return;
                 }
             }
         };
         if (sh.redis) {
-            sh.redis->forEachSorted(
+            sh.redis->forEachUnordered(
                 [&](const std::string &key,
                     std::span<const std::uint8_t> value) {
-                    check(std::stoull(key.substr(1)), value);
+                    if (const auto id = routerKeyOf(key)) {
+                        check(*id, key, value);
+                        return;
+                    }
+                    offend(~std::uint64_t(0), s, key, [&] {
+                        return "key '" + key + "' on shard " +
+                               std::to_string(s) +
+                               " is not a router key";
+                    });
                 });
         } else {
-            sh.pg->forEachNodeSorted(check);
+            sh.pg->forEachNodeUnordered(
+                [&](std::uint64_t id,
+                    std::span<const std::uint8_t> payload) {
+                    check(id, {}, payload);
+                });
         }
     }
+    if (worst)
+        sim::panic("cluster consistency: ", worst->what);
+}
+
+void
+Cluster::plantEntry(unsigned shard, std::uint64_t key,
+                    std::span<const std::uint8_t> value)
+{
+    Shard &sh = *shards_.at(shard);
+    const sim::Tick t = std::max(sh.clock, sh.domain().now());
+    sh.clock = sh.redis ? sh.redis->set(t, redisKey(key), value)
+                        : sh.pg->addNode(t, key, value);
 }
 
 bool

@@ -27,7 +27,7 @@
  *     every in-flight batch that could touch the interval has
  *     completed (the drain);
  *  3. for each plan step the host reads the moving keys out of the
- *     victim through the store's sorted iterator (a posted message
+ *     victim in store key order (a posted message
  *     into the victim's domain), writes them durably to the target,
  *     then durably deletes them from the victim — every hop rides
  *     the same request/completion channels as normal traffic and
@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -190,9 +191,11 @@ class Cluster
     std::uint64_t movedKeys() const { return movedKeys_; }
 
     /**
-     * Digest of final cluster state: every shard's store contents
-     * (sorted-key FNV) plus its command/IO counters, folded in shard
-     * order, plus the map version. Equal digests mean equal data.
+     * Digest of final cluster state: every shard's store content
+     * digest (the multiset hash of its entries, DESIGN.md section 13)
+     * plus its command/IO counters, FNV-folded in shard order, plus
+     * the map version and moved-key count. Equal digests mean equal
+     * data. O(shards): the stores keep their digests per mutation.
      */
     std::uint64_t stateDigest() const;
 
@@ -233,9 +236,21 @@ class Cluster
      * shard the current map assigns it to (so a rebalance copied
      * everything and purged the victim) and that every value matches
      * the workload's deterministic payload pattern byte-for-byte (so
-     * the copy path moved bytes, not just key names).
+     * the copy path moved bytes, not just key names). One unordered
+     * pass per store; the panic names the smallest offending key id
+     * (ties: lower shard, then key text), so its text is the same at
+     * any engine thread count.
      */
     void verifyConsistency() const;
+
+    /**
+     * Fault injection for the consistency check's own tests: durably
+     * write @p value under router key @p key straight into one shard's
+     * store (a SET or node add on that shard's clock), bypassing the
+     * router and the map. Call after run().
+     */
+    void plantEntry(unsigned shard, std::uint64_t key,
+                    std::span<const std::uint8_t> value);
 
     /**
      * Power-cut the primary of a replicated shard and recover from

@@ -82,6 +82,17 @@ encodeLink(XlogOp op, const LinkKey &key,
 
 } // namespace
 
+std::uint64_t
+entryHash(const LinkKey &key, std::span<const std::uint8_t> payload)
+{
+    db::EntryHasher h;
+    h.word(key.id1);
+    h.word(key.type);
+    h.word(key.id2);
+    h.bytes(payload);
+    return h.finish();
+}
+
 MiniPg::MiniPg(wal::LogDevice &log, const PgConfig &cfg)
     : log_(log), cfg_(cfg), gc_(log)
 {
@@ -104,11 +115,12 @@ MiniPg::maybeCheckpoint(sim::Tick now)
     checkpoints_.add();
     // Buffer-pool writeback burst, then the log restarts. The durable
     // state snapshot lives on the data device; the model keeps it
-    // implicitly (nodes_/links_ are the post-checkpoint image and the
-    // snapshot sequence marks where redo must resume).
+    // implicitly (nodes_/links_ are the post-checkpoint image, the
+    // ledgers journal pre-images from here on, and the snapshot
+    // sequence marks where redo must resume).
     now += cfg_.checkpointCost;
-    snapshotNodes_ = nodes_;
-    snapshotLinks_ = links_;
+    nodeLedger_.snapshot();
+    linkLedger_.snapshot();
     snapshotSeq_ = seq_;
     log_.truncate(now);
     gc_.reset();
@@ -236,16 +248,13 @@ MiniPg::apply(std::span<const std::uint8_t> xlog_payload)
       case XlogOp::updateNode: {
         std::uint64_t id = get64(xlog_payload, pos);
         std::uint32_t len = get32(xlog_payload, pos);
-        nodes_[id].assign(xlog_payload.begin() +
-                              static_cast<std::ptrdiff_t>(pos),
-                          xlog_payload.begin() +
-                              static_cast<std::ptrdiff_t>(pos + len));
+        nodeLedger_.put(id, xlog_payload.subspan(pos, len));
         break;
       }
       case XlogOp::deleteNode: {
         std::uint64_t id = get64(xlog_payload, pos);
         get32(xlog_payload, pos);
-        nodes_.erase(id);
+        nodeLedger_.erase(id);
         break;
       }
       case XlogOp::addLink: {
@@ -254,10 +263,7 @@ MiniPg::apply(std::span<const std::uint8_t> xlog_payload)
         key.type = get32(xlog_payload, pos);
         key.id2 = get64(xlog_payload, pos);
         std::uint32_t len = get32(xlog_payload, pos);
-        links_[key].assign(xlog_payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos),
-                           xlog_payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos + len));
+        linkLedger_.put(key, xlog_payload.subspan(pos, len));
         break;
       }
       case XlogOp::deleteLink: {
@@ -266,7 +272,7 @@ MiniPg::apply(std::span<const std::uint8_t> xlog_payload)
         key.type = get32(xlog_payload, pos);
         key.id2 = get64(xlog_payload, pos);
         get32(xlog_payload, pos);
-        links_.erase(key);
+        linkLedger_.erase(key);
         break;
       }
       case XlogOp::multiOp: {
@@ -356,8 +362,8 @@ MiniPg::recover()
 {
     // ARIES-lite redo: restore the checkpoint image, then replay the
     // durable log suffix in sequence order.
-    nodes_ = snapshotNodes_;
-    links_ = snapshotLinks_;
+    nodeLedger_.rollBack();
+    linkLedger_.rollBack();
     seq_ = snapshotSeq_;
     gc_.reset();
     auto recs = wal::parseLogStream(log_.recoverContents(),
@@ -367,49 +373,6 @@ MiniPg::recover()
         apply(r.payload);
         seq_ = r.sequence + 1;
     }
-}
-
-void
-MiniPg::forEachNodeSorted(
-    const std::function<void(std::uint64_t,
-                             std::span<const std::uint8_t>)> &fn) const
-{
-    std::map<std::uint64_t, const std::vector<std::uint8_t> *> sorted;
-    // bssd-lint: allow(det-unordered-iter) drained into a sorted map before visiting
-    for (const auto &kv : nodes_)
-        sorted.emplace(kv.first, &kv.second);
-    for (const auto &[id, payload] : sorted)
-        fn(id, {payload->data(), payload->size()});
-}
-
-std::uint64_t
-MiniPg::contentHash() const
-{
-    std::uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
-    auto mix = [&h](const std::uint8_t *p, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ull; // FNV-1a prime
-        }
-    };
-    auto mix64 = [&mix](std::uint64_t v) {
-        std::uint8_t b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<std::uint8_t>(v >> (i * 8));
-        mix(b, sizeof(b));
-    };
-    forEachNodeSorted(
-        [&](std::uint64_t id, std::span<const std::uint8_t> payload) {
-            mix64(id);
-            mix(payload.data(), payload.size());
-        });
-    for (const auto &[key, payload] : links_) {
-        mix64(key.id1);
-        mix64(key.type);
-        mix64(key.id2);
-        mix(payload.data(), payload.size());
-    }
-    return h;
 }
 
 } // namespace bssd::db::minipg

@@ -20,7 +20,6 @@
 #define BSSD_DB_MINIPG_MINIPG_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -28,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "db/store_ledger.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 #include "wal/group_commit.hh"
@@ -58,6 +58,11 @@ struct LinkKey
 
     auto operator<=>(const LinkKey &) const = default;
 };
+
+/** Per-entry content hash of a link: the key's words id1, type, id2,
+ *  then the payload (found by db::StoreLedger through ADL). */
+std::uint64_t entryHash(const LinkKey &key,
+                        std::span<const std::uint8_t> payload);
 
 /** The engine. */
 class MiniPg
@@ -145,23 +150,33 @@ class MiniPg
     std::uint64_t nextSequence() const { return seq_; }
 
     /**
-     * Visit every live node in ascending id order - the deterministic
-     * store iterator the cluster's range-move copy path walks. The
-     * heap is drained into a sorted view first so the hash map's
-     * bucket layout never reaches the caller (DESIGN.md section 11).
+     * Visit every live node in the heap's own (hash map) order. Same
+     * contract as MiniRedis::forEachUnordered(): the order is
+     * arbitrary, so callers may only fold the visits commutatively or
+     * select a min/max; anything order-sensitive collects and sorts.
      */
-    void forEachNodeSorted(
-        const std::function<void(std::uint64_t,
-                                 std::span<const std::uint8_t>)> &fn)
-        const;
+    template <class Fn>
+    void
+    forEachNodeUnordered(Fn &&fn) const
+    {
+        // bssd-lint: allow(det-unordered-iter) visitor contract: commutative folds and min-selection only
+        for (const auto &[id, payload] : nodes_)
+            fn(id, std::span<const std::uint8_t>(payload));
+    }
 
     /**
-     * Order-independent digest of the live dataset (FNV-1a over nodes
-     * in id order, then links in key order) - the same contract as
-     * MiniRedis::contentHash(), used by the cluster determinism tests
-     * to compare minipg shard states across engine thread counts.
+     * Order-independent digest of the live dataset: the wrapping sum
+     * of db::entryHash over every node (keyed by its id) and every
+     * link (keyed by id1/type/id2) - the same multiset scheme as
+     * MiniRedis::contentHash(), kept up to date per mutation. The
+     * cluster determinism tests compare minipg shard states across
+     * engine thread counts with it.
      */
-    std::uint64_t contentHash() const;
+    std::uint64_t
+    contentHash() const
+    {
+        return nodeLedger_.digest() + linkLedger_.digest();
+    }
     /** @} */
 
   private:
@@ -169,20 +184,20 @@ class MiniPg
     PgConfig cfg_;
     wal::GroupCommitter gc_;
 
-    // Audited (DESIGN.md section 11): the heap is read per node id and
-    // the checkpoint/recovery path copies it wholesale (snapshotNodes_
-    // = nodes_) then replays WAL records in log order; only links_,
-    // which range scans, needs ordering - and it is a std::map.
-    // bssd-lint: allow(det-unordered-member) keyed access only, never iterated
+    // Audited (DESIGN.md section 11): the heap is read per node id,
+    // the checkpoint image is a pre-image journal (nodeLedger_) and
+    // recovery replays WAL records in log order; the only walk is
+    // forEachNodeUnordered(), whose contract admits order-independent
+    // folds only. links_, which range scans, is a std::map.
+    // bssd-lint: allow(det-unordered-member) keyed access; unordered walks fold commutatively
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> nodes_;
     std::map<LinkKey, std::vector<std::uint8_t>> links_;
+    /** Digests + pre-images since the last checkpoint (the checkpoint
+     *  image lives on the data device in the model). */
+    StoreLedger<decltype(nodes_)> nodeLedger_{nodes_};
+    StoreLedger<decltype(links_)> linkLedger_{links_};
     std::uint64_t seq_ = 0;
-
-    /** Checkpoint image (lives on the data device in the model). */
-    // bssd-lint: allow(det-unordered-member) wholesale copy of nodes_, never iterated
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
-        snapshotNodes_;
-    std::map<LinkKey, std::vector<std::uint8_t>> snapshotLinks_;
+    /** Log sequence number the last checkpoint image covers. */
     std::uint64_t snapshotSeq_ = 0;
 
     sim::Counter commits_{"minipg.commits"};

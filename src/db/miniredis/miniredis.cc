@@ -1,8 +1,6 @@
 #include "db/miniredis/miniredis.hh"
 
 #include <charconv>
-#include <map>
-#include <string_view>
 
 #include "sim/logging.hh"
 #include "wal/record.hh"
@@ -81,8 +79,10 @@ MiniRedis::maybeRewriteAof(sim::Tick now)
     rewrites_.add();
     // BGREWRITEAOF: snapshot the dataset and restart the AOF. The
     // child-process serialisation runs off the command loop; we charge
-    // a fork+bookkeeping cost to the loop itself.
-    snapshot_ = store_;
+    // a fork+bookkeeping cost to the loop itself. The snapshot is the
+    // live dataset as of now; the ledger journals pre-images from here
+    // on so recover() can return to it.
+    ledger_.snapshot();
     snapshotSeq_ = seq_;
     aof_.truncate(now);
     return now + sim::usOf(500);
@@ -165,13 +165,10 @@ MiniRedis::apply(std::span<const std::uint8_t> payload)
     std::uint32_t vlen = get32(payload, pos);
     switch (cmd) {
       case cmdSet:
-        store_[key].assign(payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos),
-                           payload.begin() +
-                               static_cast<std::ptrdiff_t>(pos + vlen));
+        ledger_.put(key, payload.subspan(pos, vlen));
         break;
       case cmdDel:
-        store_.erase(key);
+        ledger_.erase(key);
         break;
       default:
         sim::panic("miniredis: unknown AOF command ",
@@ -182,7 +179,8 @@ MiniRedis::apply(std::span<const std::uint8_t> payload)
 void
 MiniRedis::recover()
 {
-    store_ = snapshot_;
+    // Back to the last rewrite's dataset, then redo the durable AOF.
+    ledger_.rollBack();
     seq_ = snapshotSeq_;
     auto recs = wal::parseLogStream(aof_.recoverContents(),
                                     aof_.recoveryChunkBytes(),
@@ -191,46 +189,6 @@ MiniRedis::recover()
         apply(r.payload);
         seq_ = r.sequence + 1;
     }
-}
-
-std::uint64_t
-MiniRedis::contentHash() const
-{
-    // Hash in sorted key order so the hash map's bucket layout never
-    // reaches the digest (the DESIGN.md section 11 audit contract).
-    std::map<std::string_view, const std::vector<std::uint8_t> *>
-        sorted;
-    // bssd-lint: allow(det-unordered-iter) drained into a sorted map before hashing
-    for (const auto &kv : store_)
-        sorted.emplace(kv.first, &kv.second);
-
-    std::uint64_t h = 14695981039346656037ull; // FNV-1a offset basis
-    auto mix = [&h](const std::uint8_t *p, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 1099511628211ull; // FNV-1a prime
-        }
-    };
-    for (const auto &[key, value] : sorted) {
-        mix(reinterpret_cast<const std::uint8_t *>(key.data()),
-            key.size());
-        mix(value->data(), value->size());
-    }
-    return h;
-}
-
-void
-MiniRedis::forEachSorted(
-    const std::function<void(const std::string &,
-                             std::span<const std::uint8_t>)> &fn) const
-{
-    std::map<std::string_view, const std::vector<std::uint8_t> *>
-        sorted;
-    // bssd-lint: allow(det-unordered-iter) drained into a sorted map before visiting
-    for (const auto &kv : store_)
-        sorted.emplace(kv.first, &kv.second);
-    for (const auto &[key, value] : sorted)
-        fn(std::string(key), {value->data(), value->size()});
 }
 
 } // namespace bssd::db::miniredis

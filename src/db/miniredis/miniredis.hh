@@ -12,19 +12,22 @@
  * that is a BaWal configuration here.
  *
  * An AOF rewrite (BGREWRITEAOF) compacts the log into a snapshot of
- * the live dataset when the region fills.
+ * the live dataset when the region fills. The snapshot is kept as a
+ * journal of pre-images since the rewrite (db::StoreLedger), not as a
+ * copy of the dataset.
  */
 
 #ifndef BSSD_DB_MINIREDIS_MINIREDIS_HH
 #define BSSD_DB_MINIREDIS_MINIREDIS_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "db/store_ledger.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 #include "wal/log_device.hh"
@@ -75,41 +78,50 @@ class MiniRedis
     std::uint64_t commandsProcessed() const { return commands_.value(); }
 
     /**
-     * Order-independent digest of the live dataset (FNV-1a over the
-     * key/value bytes in sorted key order). Two stores with the same
-     * contents hash identically regardless of insertion order — the
-     * parallel-engine determinism tests compare final store contents
-     * across thread counts with this.
+     * Order-independent digest of the live dataset: the wrapping sum
+     * of db::entryHash(key, value) over every live entry, kept up to
+     * date on every set/del (DESIGN.md section 11), so this is a field
+     * read. Two stores with the same contents hash identically
+     * regardless of insertion order — the parallel-engine determinism
+     * tests compare final store contents across thread counts with
+     * this.
      */
-    std::uint64_t contentHash() const;
+    std::uint64_t contentHash() const { return ledger_.digest(); }
 
     /**
-     * Visit every live (key, value) pair in sorted key order - the
-     * deterministic store iterator the cluster's range-move copy path
-     * walks (a shard being drained streams its moving keys out through
-     * this). Sorting first keeps the hash map's bucket layout out of
-     * every output, same audit rule as contentHash().
+     * Visit every live (key, value) pair in the hash map's own order.
+     * That order is arbitrary, so a caller may only fold the visits
+     * into something order-independent: a commutative fold (sum,
+     * count) or a min/max selection. Anything order-sensitive (issuing
+     * ops, emitting output) must collect and sort first.
      */
-    void forEachSorted(
-        const std::function<void(const std::string &,
-                                 std::span<const std::uint8_t>)> &fn)
-        const;
+    template <class Fn>
+    void
+    forEachUnordered(Fn &&fn) const
+    {
+        // bssd-lint: allow(det-unordered-iter) visitor contract: commutative folds and min-selection only
+        for (const auto &[key, value] : store_)
+            fn(key, std::span<const std::uint8_t>(value));
+    }
+
+    /** AOF pre-images held for recovery since the last rewrite. */
+    std::size_t journalSize() const { return ledger_.journalSize(); }
     /** @} */
 
   private:
     wal::LogDevice &aof_;
     RedisConfig cfg_;
     // Audited (DESIGN.md section 11): GET/SET/DEL address the store by
-    // key, AOF rewrite copies it wholesale (snapshot_ = store_), and
-    // contentHash() drains it into a sorted map before hashing;
-    // recovery replays AOF records in append order, so hash order
-    // never reaches any output.
-    // bssd-lint: allow(det-unordered-member) keyed access; iteration sorts first
+    // key, the AOF rewrite snapshot is a pre-image journal (ledger_),
+    // recovery replays AOF records in append order, and the only walk
+    // is forEachUnordered(), whose contract admits order-independent
+    // folds only - so hash order never reaches any output.
+    // bssd-lint: allow(det-unordered-member) keyed access; unordered walks fold commutatively
     std::unordered_map<std::string, std::vector<std::uint8_t>> store_;
+    /** Content digest + pre-images since the last AOF rewrite. */
+    StoreLedger<decltype(store_)> ledger_{store_};
     std::uint64_t seq_ = 0;
-    /** Dataset snapshot backing the last AOF rewrite. */
-    // bssd-lint: allow(det-unordered-member) wholesale copy of store_, never iterated
-    std::unordered_map<std::string, std::vector<std::uint8_t>> snapshot_;
+    /** AOF sequence number the last rewrite's dataset covers. */
     std::uint64_t snapshotSeq_ = 0;
 
     sim::Counter rewrites_{"miniredis.aofRewrites"};

@@ -17,7 +17,9 @@
 #define BSSD_WORKLOAD_CLUSTER_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "sim/client.hh"
 #include "sim/ticks.hh"
@@ -106,10 +108,10 @@ struct ClusterResult
     std::uint64_t rebalances = 0;
     std::uint64_t movedKeys = 0;
     /**
-     * Digest of final cluster state: every shard's store contents
-     * (sorted-key FNV) plus its command/IO counters, folded in shard
-     * order, plus the shard-map version. Equal digests mean equal
-     * stored data.
+     * Digest of final cluster state (cluster::Cluster::stateDigest):
+     * every shard's multiset content digest plus its command/IO
+     * counters, folded in shard order, plus the shard-map version.
+     * Equal digests mean equal stored data.
      */
     std::uint64_t stateDigest = 0;
     /** Merged metrics snapshot (JSON, deterministic row order). */
@@ -120,6 +122,13 @@ struct ClusterResult
 };
 
 /**
+ * Called as each phase of runCluster() ends, with the phase's name:
+ * "build", "run", "verify", "digest", "report", "teardown". Benches
+ * time the phases with it; it must not touch simulated state.
+ */
+using PhaseHook = std::function<void(std::string_view phase)>;
+
+/**
  * Build the cluster, run it until the router drains (and any
  * scheduled rebalance flips), verify fleet-wide consistency, and
  * tear it down. When @p trace is non-null each shard records into
@@ -128,7 +137,8 @@ struct ClusterResult
  * counts).
  */
 ClusterResult runCluster(const ClusterConfig &cfg,
-                         sim::Tracer *trace = nullptr);
+                         sim::Tracer *trace = nullptr,
+                         const PhaseHook &onPhase = {});
 
 } // namespace bssd::workload
 

@@ -11,6 +11,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "cluster/cluster.hh"
 #include "sim/logging.hh"
@@ -376,4 +379,119 @@ TEST(Cluster, RejectsBadConfigurations)
     badInterval.moveBegin256 = 64;
     badInterval.moveEnd256 = 64;
     EXPECT_THROW(Cluster c(badInterval), sim::SimFatal);
+}
+
+namespace
+{
+
+/** Payload byte pattern the workload writes for @p key. */
+std::vector<std::uint8_t>
+patternFor(std::uint64_t key, std::size_t bytes)
+{
+    std::vector<std::uint8_t> v(bytes);
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<std::uint8_t>(key + i);
+    return v;
+}
+
+/**
+ * Run @p cfg at @p threads, plant entries through the shard stores,
+ * and return verifyConsistency()'s panic text ("" if it passed).
+ * Each plant is (key, corrupt byte or -1, true = on a wrong shard).
+ */
+std::string
+verifyTextAfterPlanting(ClusterConfig cfg, unsigned threads,
+                        const std::vector<std::tuple<std::uint64_t, int,
+                                                     bool>> &plants)
+{
+    cfg.engineThreads = threads;
+    Cluster c(cfg);
+    c.run();
+    c.verifyConsistency(); // clean before planting
+    for (const auto &[key, corruptByte, wrongShard] : plants) {
+        auto value = patternFor(key, cfg.valueBytes);
+        if (corruptByte >= 0)
+            value[static_cast<std::size_t>(corruptByte)] ^= 0x5a;
+        const unsigned owner = c.map().shardOf(key);
+        c.plantEntry(wrongShard ? (owner + 1) % cfg.shards : owner, key,
+                     value);
+    }
+    try {
+        c.verifyConsistency();
+    } catch (const sim::SimPanic &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Cluster, VerifyNamesTheSmallestMisplacedKey)
+{
+    // A wrong-shard key and two corrupt payloads; the misplaced key
+    // has the smallest id, so it is the one named - at every thread
+    // count, whatever order the shard hash maps walk in.
+    const ClusterConfig cfg = smallFleet();
+    const std::vector<std::tuple<std::uint64_t, int, bool>> plants = {
+        {90, 3, false}, {20, -1, true}, {50, 0, false}, {80, -1, true}};
+    const std::string serial = verifyTextAfterPlanting(cfg, 1, plants);
+    Cluster probe(cfg);
+    const unsigned owner = probe.map().shardOf(20);
+    EXPECT_EQ(serial,
+              "panic: cluster consistency: key 20 stored on shard " +
+                  std::to_string((owner + 1) % cfg.shards) +
+                  " but the map (" + probe.map().describe() +
+                  ") owns it to shard " + std::to_string(owner));
+    for (unsigned threads : {2u, 8u})
+        EXPECT_EQ(verifyTextAfterPlanting(cfg, threads, plants), serial);
+}
+
+TEST(Cluster, VerifyNamesTheSmallestCorruptPayload)
+{
+    for (auto engine :
+         {ClusterConfig::Engine::redis, ClusterConfig::Engine::pg}) {
+        SCOPED_TRACE(cluster::engineName(engine));
+        ClusterConfig cfg = smallFleet();
+        cfg.engine = engine;
+        // Corrupt the smallest key on the LAST shard, and larger keys
+        // on every other shard: a first-found walk in shard order
+        // would name one of the larger ones.
+        const Cluster probe(cfg);
+        std::vector<std::tuple<std::uint64_t, int, bool>> plants;
+        std::set<unsigned> covered;
+        for (std::uint64_t k = 30; k < cfg.keySpace; ++k) {
+            const unsigned owner = probe.map().shardOf(k);
+            if (plants.empty() ? owner == cfg.shards - 1
+                               : !covered.contains(owner)) {
+                covered.insert(owner);
+                plants.emplace_back(k, plants.empty() ? 9 : 2, false);
+            }
+        }
+        ASSERT_EQ(plants.size(), cfg.shards);
+        const std::uint64_t smallest = std::get<0>(plants.front());
+        const std::string serial = verifyTextAfterPlanting(cfg, 1, plants);
+        EXPECT_EQ(serial, "panic: cluster consistency: key " +
+                              std::to_string(smallest) + " on shard " +
+                              std::to_string(cfg.shards - 1) +
+                              " has corrupt payload byte 9");
+        for (unsigned threads : {2u, 8u})
+            EXPECT_EQ(verifyTextAfterPlanting(cfg, threads, plants),
+                      serial);
+    }
+}
+
+TEST(Cluster, VerifyFlagsKeysOutsideTheKeySpace)
+{
+    const ClusterConfig cfg = smallFleet();
+    Cluster c(cfg);
+    c.run();
+    c.plantEntry(2, 5000, patternFor(5000, cfg.valueBytes));
+    c.plantEntry(1, 1000, patternFor(1000, cfg.valueBytes));
+    try {
+        c.verifyConsistency();
+        ADD_FAILURE() << "verifyConsistency() passed";
+    } catch (const sim::SimPanic &e) {
+        EXPECT_STREQ(e.what(), "panic: cluster consistency: key 1000 on "
+                               "shard 1 lies outside the key space 96");
+    }
 }
