@@ -134,32 +134,48 @@ BaBuffer::postWrite(sim::Tick arrival, std::uint64_t offset,
                     std::span<const std::uint8_t> data)
 {
     checkRange(offset, data.size());
-    pending_.push_back(
-        Pending{arrival, offset, {data.begin(), data.end()}});
+    if (head_ < pending_.size() && arrival < pending_.back().arrival) {
+        sim::panic("BA-buffer: posted write arriving at ", arrival,
+                   " reorders behind one arriving at ",
+                   pending_.back().arrival);
+    }
+    pending_.push_back(Pending{arrival, offset, arena_.size(), data.size()});
+    arena_.insert(arena_.end(), data.begin(), data.end());
+    pendingBytes_ += data.size();
 }
 
 void
 BaBuffer::settleTo(sim::Tick t)
 {
-    // Posted writes are applied in issue order; arrival times are
-    // monotonic per link, but guard against reordering anyway by
-    // applying every pending write whose arrival has passed.
-    while (!pending_.empty() && pending_.front().arrival <= t) {
-        const Pending &p = pending_.front();
-        std::copy(p.data.begin(), p.data.end(),
-                  data_.begin() + static_cast<std::ptrdiff_t>(p.offset));
-        pending_.pop_front();
+    // Posted writes are applied in issue order. postWrite() rejects
+    // an arrival earlier than the queue's tail, so arrivals are
+    // monotone and the arrived writes are exactly a prefix.
+    for (; head_ < pending_.size() && pending_[head_].arrival <= t; ++head_) {
+        const Pending &p = pending_[head_];
+        std::copy_n(arena_.begin() + static_cast<std::ptrdiff_t>(p.start),
+                    p.len,
+                    data_.begin() + static_cast<std::ptrdiff_t>(p.offset));
+        pendingBytes_ -= p.len;
     }
+    if (head_ == pending_.size())
+        dropPending();
+}
+
+void
+BaBuffer::dropPending()
+{
+    pending_.clear();
+    arena_.clear();
+    head_ = 0;
+    pendingBytes_ = 0;
 }
 
 std::uint64_t
 BaBuffer::powerLossAt(sim::Tick t, sim::Tick dropAfter)
 {
     settleTo(std::min(t, dropAfter));
-    std::uint64_t lost = 0;
-    for (const auto &p : pending_)
-        lost += p.data.size();
-    pending_.clear();
+    const std::uint64_t lost = pendingBytes_;
+    dropPending();
     return lost;
 }
 
@@ -180,22 +196,13 @@ BaBuffer::read(std::uint64_t offset, std::span<std::uint8_t> out) const
                 out.size(), out.begin());
 }
 
-std::uint64_t
-BaBuffer::pendingBytes() const
-{
-    std::uint64_t n = 0;
-    for (const auto &p : pending_)
-        n += p.data.size();
-    return n;
-}
-
 void
 BaBuffer::clear()
 {
     std::fill(data_.begin(), data_.end(), 0);
     for (auto &e : table_)
         e.valid = false;
-    pending_.clear();
+    dropPending();
 }
 
 void
@@ -213,7 +220,7 @@ BaBuffer::restore(std::span<const std::uint8_t> contents,
             sim::panic("BA-buffer restore: too many table entries");
         table_[i++] = e;
     }
-    pending_.clear();
+    dropPending();
 }
 
 } // namespace bssd::ba

@@ -20,7 +20,6 @@
 #define BSSD_BA_BA_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -71,7 +70,9 @@ class BaBuffer
 
     /**
      * Record a posted write that will arrive at @p arrival. Contents
-     * are NOT visible/durable until settled.
+     * are NOT visible/durable until settled. Posted writes arrive in
+     * issue order: @p arrival must not precede the last pending
+     * write's (panics otherwise).
      */
     void postWrite(sim::Tick arrival, std::uint64_t offset,
                    std::span<const std::uint8_t> data);
@@ -103,7 +104,7 @@ class BaBuffer
     void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
     /** Bytes posted but not yet settled (diagnostics/tests). */
-    std::uint64_t pendingBytes() const;
+    std::uint64_t pendingBytes() const { return pendingBytes_; }
 
     /** @} */
 
@@ -115,20 +116,30 @@ class BaBuffer
                  const std::vector<MapEntry> &table);
 
   private:
+    /** One in-flight posted write: bytes [start, start+len) of the
+     *  arena, landing at @c offset. */
     struct Pending
     {
         sim::Tick arrival;
         std::uint64_t offset;
-        std::vector<std::uint8_t> data;
+        std::size_t start;
+        std::size_t len;
     };
 
     BaConfig cfg_;
     std::vector<std::uint8_t> data_;
     std::vector<MapEntry> table_;
-    std::deque<Pending> pending_;
+    /** Posted writes in issue (= arrival) order; [head_, end) are
+     *  still pending. Records and arena are cleared when the queue
+     *  drains, so both keep their capacity across bursts. */
+    std::vector<Pending> pending_;
+    std::size_t head_ = 0;
+    std::vector<std::uint8_t> arena_;
+    std::uint64_t pendingBytes_ = 0;
 
     const MapEntry *find(Eid eid) const;
     void checkRange(std::uint64_t offset, std::uint64_t len) const;
+    void dropPending();
 };
 
 } // namespace bssd::ba

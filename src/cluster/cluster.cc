@@ -27,17 +27,25 @@ namespace
 constexpr sim::Tick kDrainPoll = sim::usOf(100);
 
 /**
- * Deterministic value payload for key @p key: byte i is key + i.
- * verifyConsistency() re-derives this pattern, which is what proves
- * the rebalance copy path moved the actual bytes.
+ * Byte @p i of key @p key's deterministic value payload. The serving
+ * path fills values with it (fillValue) and verifyConsistency()
+ * re-derives it, which is what proves the rebalance copy path moved
+ * the actual bytes.
  */
-std::vector<std::uint8_t>
-valueFor(std::uint64_t key, std::uint32_t bytes)
+std::uint8_t
+valueByte(std::uint64_t key, std::size_t i)
 {
-    std::vector<std::uint8_t> v(bytes);
-    for (std::size_t i = 0; i < v.size(); ++i)
-        v[i] = static_cast<std::uint8_t>(key + i);
-    return v;
+    return static_cast<std::uint8_t>(key + i);
+}
+
+/** Overwrite @p out with key @p key's @p bytes-byte payload. */
+void
+fillValue(std::vector<std::uint8_t> &out, std::uint64_t key,
+          std::uint32_t bytes)
+{
+    out.resize(bytes);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = valueByte(key, i);
 }
 
 /** Redis key text for a router key. */
@@ -117,6 +125,8 @@ struct Cluster::Shard
     sim::Tracer tracer;
     /** Shard-local service clock: batches queue behind each other. */
     sim::Tick clock = 0;
+    /** SET value scratch, refilled per op (capacity reused). */
+    std::vector<std::uint8_t> value;
 
     sim::Domain &
     domain()
@@ -353,8 +363,8 @@ Cluster::makeExec()
             if (sh.redis) {
                 const std::string key = redisKey(op.key);
                 if (op.kind == host::RouterOp::Kind::set) {
-                    t = sh.redis->set(
-                        t, key, valueFor(op.key, op.valueBytes));
+                    fillValue(sh.value, op.key, op.valueBytes);
+                    t = sh.redis->set(t, key, sh.value);
                 } else {
                     t = sh.redis->get(t, key);
                 }
@@ -362,8 +372,8 @@ Cluster::makeExec()
                 // addNode upserts (XLOG replay assigns), so SET maps
                 // onto it for both fresh and existing ids.
                 if (op.kind == host::RouterOp::Kind::set) {
-                    t = sh.pg->addNode(
-                        t, op.key, valueFor(op.key, op.valueBytes));
+                    fillValue(sh.value, op.key, op.valueBytes);
+                    t = sh.pg->addNode(t, op.key, sh.value);
                 } else {
                     t = sh.pg->getNode(t, op.key);
                 }
@@ -885,7 +895,7 @@ Cluster::verifyConsistency() const
                 return;
             }
             for (std::size_t i = 0; i < value.size(); ++i) {
-                if (value[i] != static_cast<std::uint8_t>(id + i)) {
+                if (value[i] != valueByte(id, i)) {
                     offend(id, s, key, [&] {
                         return "key " + std::to_string(id) +
                                " on shard " + std::to_string(s) +

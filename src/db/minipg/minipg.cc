@@ -131,9 +131,9 @@ sim::Tick
 MiniPg::logAndCommit(sim::Tick now,
                      std::span<const std::uint8_t> xlog_payload)
 {
-    auto frame = wal::frameRecord(seq_, xlog_payload);
+    wal::frameRecordInto(frame_, seq_, xlog_payload);
     ++seq_;
-    now = log_.append(now, frame);
+    now = log_.append(now, frame_);
     now = gc_.commit(now);
     commits_.add();
     return maybeCheckpoint(now);

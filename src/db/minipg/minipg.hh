@@ -24,9 +24,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "db/flat_map.hh"
 #include "db/store_ledger.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -150,16 +150,17 @@ class MiniPg
     std::uint64_t nextSequence() const { return seq_; }
 
     /**
-     * Visit every live node in the heap's own (hash map) order. Same
-     * contract as MiniRedis::forEachUnordered(): the order is
-     * arbitrary, so callers may only fold the visits commutatively or
-     * select a min/max; anything order-sensitive collects and sorts.
+     * Visit every live node in the heap's own entry order. Same
+     * contract as MiniRedis::forEachUnordered(): the order follows
+     * the op history, not the ids, so callers may only fold the visits
+     * commutatively or select a min/max; anything order-sensitive
+     * collects and sorts. The payload spans are valid only until the
+     * next mutation.
      */
     template <class Fn>
     void
     forEachNodeUnordered(Fn &&fn) const
     {
-        // bssd-lint: allow(det-unordered-iter) visitor contract: commutative folds and min-selection only
         for (const auto &[id, payload] : nodes_)
             fn(id, std::span<const std::uint8_t>(payload));
     }
@@ -184,19 +185,19 @@ class MiniPg
     PgConfig cfg_;
     wal::GroupCommitter gc_;
 
-    // Audited (DESIGN.md section 11): the heap is read per node id,
-    // the checkpoint image is a pre-image journal (nodeLedger_) and
-    // recovery replays WAL records in log order; the only walk is
-    // forEachNodeUnordered(), whose contract admits order-independent
-    // folds only. links_, which range scans, is a std::map.
-    // bssd-lint: allow(det-unordered-member) keyed access; unordered walks fold commutatively
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> nodes_;
+    // The heap is read per node id, the checkpoint image is a
+    // pre-image journal (nodeLedger_) and recovery replays WAL records
+    // in log order; the only walk is forEachNodeUnordered() (DESIGN.md
+    // section 11). links_, which range scans, is a std::map.
+    FlatMap<std::uint64_t, std::vector<std::uint8_t>> nodes_;
     std::map<LinkKey, std::vector<std::uint8_t>> links_;
     /** Digests + pre-images since the last checkpoint (the checkpoint
      *  image lives on the data device in the model). */
     StoreLedger<decltype(nodes_)> nodeLedger_{nodes_};
     StoreLedger<decltype(links_)> linkLedger_{links_};
     std::uint64_t seq_ = 0;
+    /** Framed-record scratch, reused per commit. */
+    std::vector<std::uint8_t> frame_;
     /** Log sequence number the last checkpoint image covers. */
     std::uint64_t snapshotSeq_ = 0;
 

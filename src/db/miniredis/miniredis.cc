@@ -31,24 +31,23 @@ get32(std::span<const std::uint8_t> b, std::size_t &pos)
     return x;
 }
 
-std::vector<std::uint8_t>
-encodeCmd(std::uint8_t cmd, const std::string &key,
-          std::span<const std::uint8_t> value)
-{
-    std::vector<std::uint8_t> v;
-    v.push_back(cmd);
-    put32(v, static_cast<std::uint32_t>(key.size()));
-    v.insert(v.end(), key.begin(), key.end());
-    put32(v, static_cast<std::uint32_t>(value.size()));
-    v.insert(v.end(), value.begin(), value.end());
-    return v;
-}
-
 } // namespace
 
 MiniRedis::MiniRedis(wal::LogDevice &aof, const RedisConfig &cfg)
     : aof_(aof), cfg_(cfg)
 {
+}
+
+void
+MiniRedis::encode(std::uint8_t cmd, const std::string &key,
+                  std::span<const std::uint8_t> value)
+{
+    cmd_.clear();
+    cmd_.push_back(cmd);
+    put32(cmd_, static_cast<std::uint32_t>(key.size()));
+    cmd_.insert(cmd_.end(), key.begin(), key.end());
+    put32(cmd_, static_cast<std::uint32_t>(value.size()));
+    cmd_.insert(cmd_.end(), value.begin(), value.end());
 }
 
 sim::Tick
@@ -60,12 +59,11 @@ MiniRedis::cpu(sim::Tick now, std::size_t bytes) const
 }
 
 sim::Tick
-MiniRedis::logCommand(sim::Tick now,
-                      std::span<const std::uint8_t> payload)
+MiniRedis::logCommand(sim::Tick now)
 {
-    auto frame = wal::frameRecord(seq_, payload);
+    wal::frameRecordInto(frame_, seq_, cmd_);
     ++seq_;
-    now = aof_.append(now, frame);
+    now = aof_.append(now, frame_);
     // appendfsync=always; single-threaded, so no group commit.
     now = aof_.commit(now);
     return maybeRewriteAof(now);
@@ -94,9 +92,9 @@ MiniRedis::set(sim::Tick now, const std::string &key,
 {
     commands_.add();
     now = cpu(now, key.size() + value.size());
-    auto payload = encodeCmd(cmdSet, key, value);
-    apply(payload);
-    return logCommand(now, payload);
+    encode(cmdSet, key, value);
+    apply(cmd_);
+    return logCommand(now);
 }
 
 sim::Tick
@@ -104,9 +102,9 @@ MiniRedis::del(sim::Tick now, const std::string &key)
 {
     commands_.add();
     now = cpu(now, key.size());
-    auto payload = encodeCmd(cmdDel, key, {});
-    apply(payload);
-    return logCommand(now, payload);
+    encode(cmdDel, key, {});
+    apply(cmd_);
+    return logCommand(now);
 }
 
 sim::Tick
@@ -131,9 +129,9 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
     if (result)
         *result = v;
     now = cpu(now, key.size() + text.size());
-    auto payload = encodeCmd(cmdSet, key, text);
-    apply(payload);
-    return logCommand(now, payload);
+    encode(cmdSet, key, text);
+    apply(cmd_);
+    return logCommand(now);
 }
 
 sim::Tick
@@ -158,17 +156,16 @@ MiniRedis::apply(std::span<const std::uint8_t> payload)
     std::size_t pos = 0;
     std::uint8_t cmd = payload[pos++];
     std::uint32_t klen = get32(payload, pos);
-    std::string key(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                    payload.begin() +
-                        static_cast<std::ptrdiff_t>(pos + klen));
+    key_.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos),
+                payload.begin() + static_cast<std::ptrdiff_t>(pos + klen));
     pos += klen;
     std::uint32_t vlen = get32(payload, pos);
     switch (cmd) {
       case cmdSet:
-        ledger_.put(key, payload.subspan(pos, vlen));
+        ledger_.put(key_, payload.subspan(pos, vlen));
         break;
       case cmdDel:
-        ledger_.erase(key);
+        ledger_.erase(key_);
         break;
       default:
         sim::panic("miniredis: unknown AOF command ",

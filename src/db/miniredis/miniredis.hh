@@ -24,9 +24,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "db/flat_map.hh"
 #include "db/store_ledger.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -89,17 +89,18 @@ class MiniRedis
     std::uint64_t contentHash() const { return ledger_.digest(); }
 
     /**
-     * Visit every live (key, value) pair in the hash map's own order.
-     * That order is arbitrary, so a caller may only fold the visits
-     * into something order-independent: a commutative fold (sum,
-     * count) or a min/max selection. Anything order-sensitive (issuing
-     * ops, emitting output) must collect and sort first.
+     * Visit every live (key, value) pair in the store's own entry
+     * order. That order follows the op history, not the keys, so a
+     * caller may only fold the visits into something order-independent:
+     * a commutative fold (sum, count) or a min/max selection. Anything
+     * order-sensitive (issuing ops, emitting output) must collect and
+     * sort first. The references passed to @p fn are valid only until
+     * the store's next mutation (db::FlatMap moves entries).
      */
     template <class Fn>
     void
     forEachUnordered(Fn &&fn) const
     {
-        // bssd-lint: allow(det-unordered-iter) visitor contract: commutative folds and min-selection only
         for (const auto &[key, value] : store_)
             fn(key, std::span<const std::uint8_t>(value));
     }
@@ -111,25 +112,31 @@ class MiniRedis
   private:
     wal::LogDevice &aof_;
     RedisConfig cfg_;
-    // Audited (DESIGN.md section 11): GET/SET/DEL address the store by
-    // key, the AOF rewrite snapshot is a pre-image journal (ledger_),
-    // recovery replays AOF records in append order, and the only walk
-    // is forEachUnordered(), whose contract admits order-independent
-    // folds only - so hash order never reaches any output.
-    // bssd-lint: allow(det-unordered-member) keyed access; unordered walks fold commutatively
-    std::unordered_map<std::string, std::vector<std::uint8_t>> store_;
+    // GET/SET/DEL address the store by key, the AOF rewrite snapshot
+    // is a pre-image journal (ledger_), recovery replays AOF records
+    // in append order, and the only walk is forEachUnordered()
+    // (DESIGN.md section 11).
+    FlatMap<std::string, std::vector<std::uint8_t>> store_;
     /** Content digest + pre-images since the last AOF rewrite. */
     StoreLedger<decltype(store_)> ledger_{store_};
     std::uint64_t seq_ = 0;
     /** AOF sequence number the last rewrite's dataset covers. */
     std::uint64_t snapshotSeq_ = 0;
 
+    /** Per-command scratch, reused so a command allocates nothing:
+     *  the encoded AOF command, its framed record, and the key text
+     *  apply() decodes. */
+    std::vector<std::uint8_t> cmd_;
+    std::vector<std::uint8_t> frame_;
+    std::string key_;
+
     sim::Counter rewrites_{"miniredis.aofRewrites"};
     sim::Counter commands_{"miniredis.commands"};
 
     sim::Tick cpu(sim::Tick now, std::size_t bytes) const;
-    sim::Tick logCommand(sim::Tick now,
-                         std::span<const std::uint8_t> payload);
+    void encode(std::uint8_t cmd, const std::string &key,
+                std::span<const std::uint8_t> value);
+    sim::Tick logCommand(sim::Tick now);
     sim::Tick maybeRewriteAof(sim::Tick now);
     void apply(std::span<const std::uint8_t> payload);
 };

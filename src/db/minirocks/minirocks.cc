@@ -241,9 +241,9 @@ MiniRocks::writeAndCommit(
 {
     auto payload =
         encodeKv(value ? opPut : opDel, key, value);
-    auto frame = wal::frameRecord(seq_, payload);
+    wal::frameRecordInto(frame_, seq_, payload);
     ++seq_;
-    now = log_.append(now, frame);
+    now = log_.append(now, frame_);
     now = gc_.commit(now);
 
     std::uint64_t delta = key.size() + (value ? value->size() : 0) + 32;

@@ -123,6 +123,8 @@ class MiniRocks
     std::uint64_t memtableBytes_ = 0;
     std::vector<Sst> tables_; // newest first within a level
     std::uint64_t seq_ = 0;
+    /** Framed-record scratch, reused per write. */
+    std::vector<std::uint8_t> frame_;
     std::uint64_t flushedSeq_ = 0; // covered by SSTs (in MANIFEST)
     std::uint64_t nextSstId_ = 1;
     std::uint64_t dataAllocPos_ = 0;

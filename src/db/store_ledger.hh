@@ -140,7 +140,7 @@ entryHash(std::uint64_t key, std::span<const std::uint8_t> value)
 
 /**
  * Digest and pre-image journal of one keyed map of byte values
- * (std::map or std::unordered_map). The ledger does not own the map:
+ * (std::map or db::FlatMap). The ledger does not own the map:
  * the store declares it (so its ordering is visible where it lives)
  * and routes every mutation through put()/erase() so the digest and
  * journal stay in step. The ledger never iterates the map.

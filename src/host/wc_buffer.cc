@@ -1,11 +1,85 @@
 #include "host/wc_buffer.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
 namespace bssd::host
 {
+
+namespace
+{
+
+constexpr std::uint64_t kWordBits = 64;
+
+/** Set bits [lo, lo+n) of @p mask, one mask operation per word. */
+void
+setBits(std::vector<std::uint64_t> &mask, std::uint64_t lo, std::uint64_t n)
+{
+    const std::uint64_t hi = lo + n;
+    while (lo < hi) {
+        const std::uint64_t bit = lo % kWordBits;
+        const std::uint64_t run = std::min(kWordBits - bit, hi - lo);
+        const std::uint64_t ones =
+            run == kWordBits ? ~std::uint64_t(0)
+                             : ((std::uint64_t(1) << run) - 1) << bit;
+        mask[lo / kWordBits] |= ones;
+        lo += run;
+    }
+}
+
+/**
+ * First bit index >= @p from whose mask value is @p set, or @p limit
+ * when there is none below it.
+ */
+std::uint64_t
+findBit(const std::vector<std::uint64_t> &mask, std::uint64_t from,
+        std::uint64_t limit, bool set)
+{
+    if (from >= limit)
+        return limit;
+    std::size_t w = from / kWordBits;
+    std::uint64_t word = (set ? mask[w] : ~mask[w]) &
+                         (~std::uint64_t(0) << (from % kWordBits));
+    while (word == 0) {
+        if (++w == mask.size())
+            return limit;
+        word = set ? mask[w] : ~mask[w];
+    }
+    return std::min<std::uint64_t>(
+        w * kWordBits + static_cast<std::uint64_t>(std::countr_zero(word)),
+        limit);
+}
+
+/**
+ * Call @p fn(start, len) for each maximal run of valid bytes in a
+ * @p lineBytes line, in address order, until @p fn returns false.
+ */
+template <class Fn>
+void
+forEachRun(const std::vector<std::uint64_t> &mask, std::uint64_t lineBytes,
+           Fn &&fn)
+{
+    std::uint64_t i = findBit(mask, 0, lineBytes, true);
+    while (i < lineBytes) {
+        const std::uint64_t j = findBit(mask, i, lineBytes, false);
+        if (!fn(i, j - i))
+            return;
+        i = findBit(mask, j, lineBytes, true);
+    }
+}
+
+std::uint64_t
+popcount(const std::vector<std::uint64_t> &mask)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t w : mask)
+        n += static_cast<std::uint64_t>(std::popcount(w));
+    return n;
+}
+
+} // namespace
 
 WcBuffer::WcBuffer(const WcConfig &cfg, Sink sink)
     : cfg_(cfg), sink_(std::move(sink))
@@ -19,8 +93,13 @@ WcBuffer::WcBuffer(const WcConfig &cfg, Sink sink)
 bool
 WcBuffer::lineFull(const Line &line) const
 {
-    return std::all_of(line.validMask.begin(), line.validMask.end(),
-                       [](bool b) { return b; });
+    const std::uint64_t tail = cfg_.lineBytes % kWordBits;
+    const std::uint64_t last =
+        tail == 0 ? ~std::uint64_t(0) : (std::uint64_t(1) << tail) - 1;
+    for (std::size_t w = 0; w + 1 < line.valid.size(); ++w)
+        if (line.valid[w] != ~std::uint64_t(0))
+            return false;
+    return line.valid.back() == last;
 }
 
 WcBuffer::Line *
@@ -39,22 +118,24 @@ WcBuffer::evict(sim::Tick now, Line &line)
         return now;
     sim::tracepointHit(faults_, tracer_, sim::Tp::wcEvict, now);
     // Post each contiguous run of valid bytes within the line.
-    std::size_t i = 0;
-    while (i < line.validMask.size()) {
-        if (!line.validMask[i]) {
-            ++i;
-            continue;
-        }
-        std::size_t j = i;
-        while (j < line.validMask.size() && line.validMask[j])
-            ++j;
-        now = sink_(now, line.base + i,
-                    std::span<const std::uint8_t>(line.data.data() + i,
-                                                  j - i));
-        i = j;
-    }
+    forEachRun(line.valid, cfg_.lineBytes,
+               [&](std::uint64_t start, std::uint64_t len) {
+                   now = sink_(now, line.base + start,
+                               std::span<const std::uint8_t>(
+                                   line.data.data() + start, len));
+                   return true;
+               });
     line.dirty = false;
     return now;
+}
+
+void
+WcBuffer::claim(Line &line, std::uint64_t base)
+{
+    line.base = base;
+    std::fill(line.valid.begin(), line.valid.end(), 0);
+    line.dirty = true;
+    line.lruStamp = ++lruCounter_;
 }
 
 WcBuffer::Line &
@@ -67,23 +148,16 @@ WcBuffer::acquireLine(sim::Tick &now, std::uint64_t base)
     // Reuse a clean slot if available.
     for (auto &l : lines_) {
         if (!l.dirty) {
-            l.base = base;
-            l.data.assign(cfg_.lineBytes, 0);
-            l.validMask.assign(cfg_.lineBytes, false);
-            l.dirty = true;
-            l.lruStamp = ++lruCounter_;
+            claim(l, base);
             return l;
         }
     }
     if (lines_.size() < cfg_.lines) {
-        Line l;
-        l.base = base;
+        Line &l = lines_.emplace_back();
         l.data.assign(cfg_.lineBytes, 0);
-        l.validMask.assign(cfg_.lineBytes, false);
-        l.dirty = true;
-        l.lruStamp = ++lruCounter_;
-        lines_.push_back(std::move(l));
-        return lines_.back();
+        l.valid.assign((cfg_.lineBytes + kWordBits - 1) / kWordBits, 0);
+        claim(l, base);
+        return l;
     }
     // Capacity pressure: evict the least recently used line.
     auto victim = std::min_element(
@@ -92,11 +166,7 @@ WcBuffer::acquireLine(sim::Tick &now, std::uint64_t base)
         });
     now = evict(now, *victim);
     evictions_.add();
-    victim->base = base;
-    victim->data.assign(cfg_.lineBytes, 0);
-    victim->validMask.assign(cfg_.lineBytes, false);
-    victim->dirty = true;
-    victim->lruStamp = ++lruCounter_;
+    claim(*victim, base);
     return *victim;
 }
 
@@ -116,9 +186,7 @@ WcBuffer::write(sim::Tick now, std::uint64_t offset,
         Line &line = acquireLine(now, base);
         std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(pos), n,
                     line.data.begin() + static_cast<std::ptrdiff_t>(in_line));
-        std::fill_n(line.validMask.begin() +
-                        static_cast<std::ptrdiff_t>(in_line),
-                    n, true);
+        setBits(line.valid, in_line, n);
         ++lines_touched;
         // A completely filled line combines into one burst and is
         // posted immediately (x86 WC behaviour for streaming stores).
@@ -184,31 +252,21 @@ WcBuffer::dropAll()
     for (auto &l : lines_) {
         if (!l.dirty)
             continue;
-        std::uint64_t valid = 0;
-        for (bool v : l.validMask)
-            valid += v ? 1 : 0;
+        const std::uint64_t valid = popcount(l.valid);
         std::uint64_t keep = torn ? faults_->wcPartialKeep(valid) : 0;
         if (keep > 0) {
             // Deliver the first `keep` valid bytes (address order), as
             // contiguous runs: those stores had already been posted.
-            std::size_t i = 0;
-            std::uint64_t delivered = 0;
-            while (i < l.validMask.size() && delivered < keep) {
-                if (!l.validMask[i]) {
-                    ++i;
-                    continue;
-                }
-                std::size_t j = i;
-                while (j < l.validMask.size() && l.validMask[j] &&
-                       delivered + (j - i) < keep) {
-                    ++j;
-                }
-                crashSink_(l.base + i,
-                           std::span<const std::uint8_t>(
-                               l.data.data() + i, j - i));
-                delivered += j - i;
-                i = j;
-            }
+            std::uint64_t left = keep;
+            forEachRun(l.valid, cfg_.lineBytes,
+                       [&](std::uint64_t start, std::uint64_t len) {
+                           len = std::min(len, left);
+                           crashSink_(l.base + start,
+                                      std::span<const std::uint8_t>(
+                                          l.data.data() + start, len));
+                           left -= len;
+                           return left > 0;
+                       });
         }
         lost += valid - keep;
         l.dirty = false;
@@ -229,12 +287,9 @@ std::uint64_t
 WcBuffer::dirtyBytes() const
 {
     std::uint64_t n = 0;
-    for (const auto &l : lines_) {
-        if (!l.dirty)
-            continue;
-        for (bool v : l.validMask)
-            n += v ? 1 : 0;
-    }
+    for (const auto &l : lines_)
+        if (l.dirty)
+            n += popcount(l.valid);
     return n;
 }
 

@@ -146,11 +146,17 @@ class WcBuffer
     }
 
   private:
+    /**
+     * One fill buffer. Bytes outside the valid mask are never posted
+     * or crash-delivered, so a reused line clears only its mask and
+     * keeps whatever stale bytes its data array holds.
+     */
     struct Line
     {
         std::uint64_t base = 0; // line-aligned window offset
         std::vector<std::uint8_t> data;
-        std::vector<bool> validMask;
+        /** Bit i of word i/64 is set when data[i] holds a store. */
+        std::vector<std::uint64_t> valid;
         bool dirty = false;
         std::uint64_t lruStamp = 0;
     };
@@ -166,6 +172,7 @@ class WcBuffer
 
     Line *findLine(std::uint64_t base);
     Line &acquireLine(sim::Tick &now, std::uint64_t base);
+    void claim(Line &line, std::uint64_t base);
     sim::Tick evict(sim::Tick now, Line &line);
     bool lineFull(const Line &line) const;
 };

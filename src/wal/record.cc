@@ -1,7 +1,7 @@
 #include "wal/record.hh"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
 
 namespace bssd::wal
 {
@@ -9,34 +9,37 @@ namespace bssd::wal
 namespace
 {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: crcTables[0] is the classic byte-at-a-time
+ * table; crcTables[k][i] is the CRC of byte i followed by k zero
+ * bytes, so eight table lookups fold eight input bytes at once.
+ */
+std::array<std::array<std::uint32_t, 256>, 8>
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     constexpr std::uint32_t poly = 0x82f63b78; // CRC-32C, reflected
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? (poly ^ (c >> 1)) : (c >> 1);
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::uint32_t i = 0; i < 256; ++i)
+        for (std::size_t k = 1; k < 8; ++k)
+            t[k][i] = t[0][t[k - 1][i] & 0xff] ^ (t[k - 1][i] >> 8);
+    return t;
 }
 
-const std::array<std::uint32_t, 256> crcTable = makeCrcTable();
+const std::array<std::array<std::uint32_t, 256>, 8> crcTables =
+    makeCrcTables();
 
+/** Little-endian store of @p n bytes of @p x at @p p. */
 void
-put32(std::vector<std::uint8_t> &v, std::uint32_t x)
+putLe(std::uint8_t *p, std::uint64_t x, int n)
 {
-    for (int i = 0; i < 4; ++i)
-        v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-
-void
-put64(std::vector<std::uint8_t> &v, std::uint64_t x)
-{
-    for (int i = 0; i < 8; ++i)
-        v.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    for (int i = 0; i < n; ++i)
+        p[i] = static_cast<std::uint8_t>(x >> (8 * i));
 }
 
 std::uint32_t
@@ -62,27 +65,43 @@ get64(std::span<const std::uint8_t> b, std::size_t off)
 std::uint32_t
 crc32c(std::span<const std::uint8_t> data)
 {
+    const auto &t = crcTables;
     std::uint32_t c = ~std::uint32_t(0);
-    for (std::uint8_t byte : data)
-        c = crcTable[(c ^ byte) & 0xff] ^ (c >> 8);
+    const std::uint8_t *p = data.data();
+    std::size_t n = data.size();
+    for (; n >= 8; p += 8, n -= 8) {
+        std::uint32_t lo = c ^ (std::uint32_t(p[0]) |
+                                std::uint32_t(p[1]) << 8 |
+                                std::uint32_t(p[2]) << 16 |
+                                std::uint32_t(p[3]) << 24);
+        c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
     return ~c;
+}
+
+void
+frameRecordInto(std::vector<std::uint8_t> &frame, std::uint64_t seq,
+                std::span<const std::uint8_t> payload)
+{
+    frame.resize(recordHeaderBytes + payload.size());
+    std::uint8_t *p = frame.data();
+    putLe(p, payload.size(), 4);
+    putLe(p + 8, seq, 8);
+    std::copy(payload.begin(), payload.end(), p + recordHeaderBytes);
+    // CRC covers sequence + payload; patch it in once they are laid out.
+    putLe(p + 4,
+          crc32c(std::span<const std::uint8_t>(frame).subspan(8)), 4);
 }
 
 std::vector<std::uint8_t>
 frameRecord(std::uint64_t seq, std::span<const std::uint8_t> payload)
 {
-    // CRC covers sequence + payload.
-    std::vector<std::uint8_t> body;
-    body.reserve(8 + payload.size());
-    put64(body, seq);
-    body.insert(body.end(), payload.begin(), payload.end());
-    std::uint32_t crc = crc32c(body);
-
     std::vector<std::uint8_t> frame;
-    frame.reserve(recordHeaderBytes + payload.size());
-    put32(frame, static_cast<std::uint32_t>(payload.size()));
-    put32(frame, crc);
-    frame.insert(frame.end(), body.begin(), body.end());
+    frameRecordInto(frame, seq, payload);
     return frame;
 }
 

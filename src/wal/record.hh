@@ -19,7 +19,9 @@
 namespace bssd::wal
 {
 
-/** CRC32 (Castagnoli polynomial), bit-reflected, table-driven. */
+/** CRC32 (Castagnoli polynomial), bit-reflected; slicing-by-8 (eight
+ *  table lookups fold eight bytes per step, then one byte per step
+ *  for the tail). */
 std::uint32_t crc32c(std::span<const std::uint8_t> data);
 
 /** A parsed, validated log record. */
@@ -35,6 +37,13 @@ constexpr std::size_t recordHeaderBytes = 4 + 4 + 8;
 /** Frame @p payload with sequence number @p seq. */
 std::vector<std::uint8_t> frameRecord(std::uint64_t seq,
                                       std::span<const std::uint8_t> payload);
+
+/**
+ * frameRecord() into @p frame, replacing its contents but reusing its
+ * capacity (the per-command framing buffer of a store).
+ */
+void frameRecordInto(std::vector<std::uint8_t> &frame, std::uint64_t seq,
+                     std::span<const std::uint8_t> payload);
 
 /**
  * Parse a durable log byte stream. Returns every valid record up to

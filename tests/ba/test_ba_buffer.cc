@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ba/ba_buffer.hh"
+#include "sim/logging.hh"
 
 using namespace bssd;
 using namespace bssd::ba;
@@ -181,4 +182,53 @@ TEST(BaBufferData, RestoreReplacesEverything)
     std::vector<std::uint8_t> out(4);
     buf.read(0, out);
     EXPECT_EQ(out[0], 0x5a);
+}
+
+TEST(BaBufferData, PartiallySettledQueueLosesExactlyTheUnsettledBytes)
+{
+    BaBuffer buf(smallCfg());
+    // Five posted writes of distinct lengths arriving at 100..500.
+    const std::size_t lens[] = {3, 17, 64, 5, 200};
+    for (std::size_t i = 0; i < 5; ++i) {
+        std::vector<std::uint8_t> d(lens[i],
+                                    static_cast<std::uint8_t>(i + 1));
+        buf.postWrite(100 * (i + 1), 1000 * i, d);
+    }
+    EXPECT_EQ(buf.pendingBytes(), 3u + 17 + 64 + 5 + 200);
+    buf.settleTo(250); // first two arrived
+    EXPECT_EQ(buf.pendingBytes(), 64u + 5 + 200);
+    // One more write joins the partially settled queue.
+    std::vector<std::uint8_t> late(9, 0xee);
+    buf.postWrite(600, 6000, late);
+    EXPECT_EQ(buf.pendingBytes(), 64u + 5 + 200 + 9);
+    // Power dies at 450: the third and fourth arrived, the rest did not.
+    EXPECT_EQ(buf.powerLossAt(450), 200u + 9);
+    EXPECT_EQ(buf.pendingBytes(), 0u);
+    std::vector<std::uint8_t> out(1);
+    for (std::size_t i = 0; i < 4; ++i) {
+        buf.read(1000 * i, out);
+        EXPECT_EQ(out[0], i + 1) << "write " << i;
+    }
+    buf.read(4000, out);
+    EXPECT_EQ(out[0], 0u);
+    buf.read(6000, out);
+    EXPECT_EQ(out[0], 0u);
+    // The queue restarts cleanly after the cut.
+    buf.postWrite(50, 7, late);
+    EXPECT_EQ(buf.pendingBytes(), 9u);
+    buf.settleTo(50);
+    EXPECT_EQ(buf.pendingBytes(), 0u);
+}
+
+TEST(BaBufferData, PostedWriteArrivingBeforeTheQueueTailPanics)
+{
+    BaBuffer buf(smallCfg());
+    std::vector<std::uint8_t> d{1};
+    buf.postWrite(200, 0, d);
+    buf.postWrite(200, 1, d); // equal arrivals keep issue order
+    EXPECT_THROW(buf.postWrite(199, 2, d), sim::SimPanic);
+    // Once the queue drains there is no tail to reorder behind.
+    buf.settleTo(200);
+    buf.postWrite(10, 3, d);
+    EXPECT_EQ(buf.pendingBytes(), 1u);
 }

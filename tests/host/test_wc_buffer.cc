@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "host/wc_buffer.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 using namespace bssd;
@@ -189,4 +190,111 @@ TEST(WcBuffer, RewriteWithinLineKeepsLatest)
     wc.flushAll(0);
     auto want = bytes({1, 2, 2});
     EXPECT_TRUE(sink.holds(0, want));
+}
+
+namespace
+{
+
+/** Every sink call as (offset, bytes), in call order. */
+struct Call
+{
+    std::uint64_t offset;
+    std::vector<std::uint8_t> data;
+    bool operator==(const Call &) const = default;
+};
+
+} // namespace
+
+TEST(WcBuffer, ReusedLineAfterCapacityEvictionPostsOnlyItsOwnBytes)
+{
+    // One fill buffer: the second line's store evicts the first and
+    // takes over its slot, whose data array still holds 0xaa bytes.
+    std::vector<Call> calls;
+    WcConfig cfg;
+    cfg.lines = 1;
+    WcBuffer wc(cfg, [&](sim::Tick ready, std::uint64_t off,
+                         std::span<const std::uint8_t> data) {
+        calls.push_back(Call{off, {data.begin(), data.end()}});
+        return ready + sim::nsOf(5);
+    });
+    wc.write(0, 0, std::vector<std::uint8_t>(60, 0xaa));
+    wc.write(0, 64 + 10, bytes({1, 2, 3, 4}));
+    wc.write(0, 64 + 30, bytes({5, 6}));
+    EXPECT_EQ(wc.capacityEvictions(), 1u);
+    EXPECT_EQ(wc.dirtyBytes(), 6u);
+    wc.flushAll(0);
+    const std::vector<Call> want{
+        {0, std::vector<std::uint8_t>(60, 0xaa)},
+        {74, bytes({1, 2, 3, 4})},
+        {94, bytes({5, 6})},
+    };
+    EXPECT_EQ(calls, want);
+}
+
+TEST(WcBuffer, ReusedLineAfterTornDropDeliversOnlyItsOwnBytes)
+{
+    // A torn power cut delivers a prefix of each dirty line's valid
+    // bytes through the crash sink. The slot is then reused - once
+    // for another line, once for the same line base - and a second
+    // cut (and a flush) must only ever surface the new occupant's
+    // bytes, never the stale 0xaa ones still in the data array.
+    std::uint64_t tornDeliveries = 0;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        sim::FaultPlan plan;
+        plan.seed = seed;
+        plan.wcPartialLineOnPowerCut = true;
+        sim::FaultInjector faults(plan);
+        std::vector<Call> posted, crashed;
+        WcConfig cfg;
+        cfg.lines = 1;
+        WcBuffer wc(cfg, [&](sim::Tick ready, std::uint64_t off,
+                             std::span<const std::uint8_t> data) {
+            posted.push_back(Call{off, {data.begin(), data.end()}});
+            return ready + sim::nsOf(5);
+        });
+        wc.setFaultInjector(&faults);
+        wc.setCrashSink(
+            [&](std::uint64_t off, std::span<const std::uint8_t> data) {
+                crashed.push_back(Call{off, {data.begin(), data.end()}});
+            });
+
+        // A twin injector replays the same split points, so the test
+        // knows how many leading valid bytes each cut delivers.
+        sim::FaultInjector twin(plan);
+
+        wc.write(0, 0, std::vector<std::uint8_t>(60, 0xaa));
+        EXPECT_EQ(wc.dropAll(), 60 - twin.wcPartialKeep(60));
+        crashed.clear();
+
+        // Another line in the slot: exactly its first `keep` valid
+        // bytes arrive, as one run, and nothing of the old line.
+        wc.write(0, 64 + 20, bytes({1, 2, 3}));
+        EXPECT_EQ(wc.dirtyBytes(), 3u);
+        const std::uint64_t keep = twin.wcPartialKeep(3);
+        EXPECT_EQ(wc.dropAll(), 3 - keep);
+        tornDeliveries += crashed.size();
+        if (keep == 0) {
+            EXPECT_TRUE(crashed.empty()) << "seed " << seed;
+        } else {
+            const std::vector<std::uint8_t> all = bytes({1, 2, 3});
+            ASSERT_EQ(crashed,
+                      (std::vector<Call>{
+                          {84, {all.begin(), all.begin() + keep}}}))
+                << "seed " << seed;
+        }
+        crashed.clear();
+
+        // The same base again: stale bytes sit at the very addresses
+        // a leak would expose.
+        wc.write(0, 0, std::vector<std::uint8_t>(60, 0xaa));
+        wc.dropAll();
+        crashed.clear();
+        wc.write(0, 5, bytes({7, 8}));
+        wc.flushAll(0);
+        EXPECT_TRUE(crashed.empty());
+        ASSERT_EQ(posted, (std::vector<Call>{{5, bytes({7, 8})}}))
+            << "seed " << seed;
+    }
+    // The torn path really ran (a keep of 0 delivers nothing).
+    EXPECT_GT(tornDeliveries, 0u);
 }

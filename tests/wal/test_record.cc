@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "wal/record.hh"
@@ -36,6 +37,55 @@ TEST(Crc32c, KnownVector)
 TEST(Crc32c, EmptyIsZero)
 {
     EXPECT_EQ(crc32c({}), 0u);
+}
+
+namespace
+{
+
+/** Bit-at-a-time CRC-32C: the definition the fast path must match. */
+std::uint32_t
+crc32cBitwise(std::span<const std::uint8_t> data)
+{
+    std::uint32_t c = ~std::uint32_t(0);
+    for (std::uint8_t byte : data) {
+        c ^= byte;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (0x82f63b78u ^ (c >> 1)) : (c >> 1);
+    }
+    return ~c;
+}
+
+} // namespace
+
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths 0..300 cover the 8-byte fold plus every tail length;
+    // eight start offsets cover every alignment of the first fold.
+    std::vector<std::uint8_t> buf(8 + 300);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 131 + (i >> 3) * 7 + 1);
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t len = 0; len <= 300; ++len) {
+            std::span<const std::uint8_t> d(buf.data() + align, len);
+            ASSERT_EQ(crc32c(d), crc32cBitwise(d))
+                << "align " << align << " len " << len;
+        }
+    }
+}
+
+TEST(Record, FrameIntoReusedBufferMatchesFrameRecord)
+{
+    // Shrinking, growing and equal-size reuse must all give exactly
+    // frameRecord()'s bytes (no stale tail, no stale CRC).
+    std::vector<std::uint8_t> frame;
+    const std::size_t sizes[] = {200, 0, 31, 200, 1, 64, 64, 300, 9};
+    std::uint64_t seq = 0;
+    for (std::size_t n : sizes) {
+        auto p = payload(n, static_cast<std::uint8_t>(seq * 17));
+        frameRecordInto(frame, seq, p);
+        EXPECT_EQ(frame, frameRecord(seq, p)) << "payload " << n;
+        ++seq;
+    }
 }
 
 TEST(Record, FrameAndParseRoundTrip)
