@@ -59,7 +59,7 @@
 
 using namespace bssd;
 using namespace bssd::bench;
-using workload::ClusterConfig;
+using cluster::ClusterConfig;
 using workload::ClusterResult;
 
 namespace
@@ -315,11 +315,11 @@ main(int argc, char **argv)
         // N bounded queue pairs instead of the unbounded default.
         for (Mix &mix : mixes) {
             if (!queuesFlag.empty()) {
-                mix.cfg.nvmeQueuePairs = static_cast<std::uint16_t>(
+                mix.cfg.queuePairs = static_cast<std::uint16_t>(
                     std::max(1ul, std::stoul(queuesFlag)));
             }
             if (!qdepthFlag.empty()) {
-                mix.cfg.nvmeQueueDepth = static_cast<std::uint16_t>(
+                mix.cfg.queueDepth = static_cast<std::uint16_t>(
                     std::stoul(qdepthFlag));
             }
         }

@@ -1,17 +1,17 @@
 /**
  * @file
  * Simulation-kernel self-benchmark: raw event throughput of the slab
- * event pool versus the legacy kernel design, plus wall-clock spot
- * checks of two real figure benches.
+ * event pool (sim::EventQueue), plus wall-clock spot checks of two
+ * real figure benches.
  *
- * The legacy implementation (std::function callbacks, one heap
- * allocation per event, an unordered_set membership probe per
- * schedule/fire/cancel) is kept here verbatim as the comparison
- * baseline, so the ≥ 2x kernel-throughput acceptance bar stays
- * checkable in-tree forever.
+ * baselines/BENCH_simcore.json is the recorded verdict of the slab
+ * pool against the seed kernel it replaced (std::function callbacks,
+ * one heap allocation per event, an unordered_set membership probe
+ * per schedule/fire/cancel): a 2.2x geomean speedup. That comparison
+ * kernel is gone; the scenarios now time the slab pool alone.
  *
- * Emits BENCH_simcore.json (see baselines/BENCH_simcore.json for the
- * recorded trajectory) plus BENCH_parallel.json: the parallel-engine
+ * Emits BENCH_simcore.json (the kernel and figure-bench numbers)
+ * plus BENCH_parallel.json: the parallel-engine
  * scaling curve on the sharded-cluster scenario (events/sec vs
  * --engine-threads, digest-checked bit-identical at every point).
  *
@@ -24,16 +24,13 @@
  *                       byte-for-byte
  */
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <queue>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.hh"
@@ -55,81 +52,15 @@ using namespace bssd::bench;
 namespace
 {
 
-/** The seed kernel, verbatim: the "before" side of the comparison. */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-    using EventId = std::uint64_t;
-
-    sim::Tick now() const { return now_; }
-
-    EventId
-    schedule(sim::Tick when, Callback cb)
-    {
-        EventId id = nextId_++;
-        pq_.push(Entry{when, id, std::move(cb)});
-        pendingIds_.insert(id);
-        return id;
-    }
-
-    EventId
-    scheduleIn(sim::Tick delay, Callback cb)
-    {
-        return schedule(now_ + delay, std::move(cb));
-    }
-
-    bool deschedule(EventId id) { return pendingIds_.erase(id) > 0; }
-
-    std::size_t
-    run(std::size_t limit = ~std::size_t(0))
-    {
-        std::size_t fired = 0;
-        while (fired < limit && !pq_.empty()) {
-            Entry e = pq_.top();
-            pq_.pop();
-            if (pendingIds_.erase(e.id) == 0)
-                continue;
-            now_ = e.when;
-            ++fired;
-            e.cb();
-        }
-        return fired;
-    }
-
-  private:
-    struct Entry
-    {
-        sim::Tick when;
-        EventId id;
-        Callback cb;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : id > o.id;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq_;
-    // bssd-lint: allow(det-unordered-member) legacy comparison kernel,
-    // kept verbatim; the set is only probed for membership, never
-    // iterated, so its order cannot reach any output.
-    std::unordered_set<EventId> pendingIds_;
-    sim::Tick now_ = 0;
-    EventId nextId_ = 1;
-};
-
 /**
  * Scenario 1 — timer chains: K concurrent self-rescheduling timers
  * (the shape of destage timers and DMA completion interrupts), run
  * until @p total events have fired.
  */
-template <typename Queue>
 double
 timerChains(std::size_t total)
 {
-    Queue q;
+    sim::EventQueue q;
     constexpr std::size_t kChains = 64;
     Stopwatch sw;
     std::uint64_t ticks[kChains] = {};
@@ -153,11 +84,10 @@ timerChains(std::size_t total)
  * is almost always cancelled (the common pattern for watchdogs).
  * Throughput counts scheduled-then-cancelled pairs plus fired events.
  */
-template <typename Queue>
 double
 cancelChurn(std::size_t total)
 {
-    Queue q;
+    sim::EventQueue q;
     Stopwatch sw;
     std::size_t done = 0;
     for (std::size_t i = 0; done < total; ++i) {
@@ -175,11 +105,10 @@ cancelChurn(std::size_t total)
  * Scenario 3 — bursty fan-out: batches of events land at scattered
  * future ticks (GC relocations, power-loss dump), then drain.
  */
-template <typename Queue>
 double
 burstDrain(std::size_t total)
 {
-    Queue q;
+    sim::EventQueue q;
     Stopwatch sw;
     std::size_t fired = 0;
     std::uint64_t x = 0x9e3779b97f4a7c15ull;
@@ -199,8 +128,7 @@ burstDrain(std::size_t total)
 struct Row
 {
     const char *name;
-    double legacyEps;
-    double pooledEps;
+    double eps;
 };
 
 /**
@@ -209,12 +137,12 @@ struct Row
  * host-domain router. Heavy per-shard batches so the barrier cost
  * amortizes over real store/WAL/device work.
  */
-workload::ClusterConfig
+cluster::ClusterConfig
 clusterScenario(unsigned engineThreads)
 {
-    workload::ClusterConfig cfg;
+    cluster::ClusterConfig cfg;
     cfg.shards = 8;
-    cfg.wal = workload::ClusterConfig::Wal::ba;
+    cfg.wal = cluster::ClusterConfig::Wal::ba;
     cfg.gc = true;
     cfg.engineThreads = engineThreads;
     cfg.opsPerCycle = 512;
@@ -301,35 +229,20 @@ main(int argc, char **argv)
         return 0;
     }
 
-    banner("simcore", "event-kernel throughput: slab pool vs legacy");
+    banner("simcore", "event-kernel throughput (slab pool)");
 
     constexpr std::size_t kEvents = 2'000'000;
 
-    std::vector<Row> rows;
-    rows.push_back({"timer-chains",
-                    timerChains<LegacyEventQueue>(kEvents),
-                    timerChains<sim::EventQueue>(kEvents)});
-    rows.push_back({"cancel-churn",
-                    cancelChurn<LegacyEventQueue>(kEvents),
-                    cancelChurn<sim::EventQueue>(kEvents)});
-    rows.push_back({"burst-drain",
-                    burstDrain<LegacyEventQueue>(kEvents),
-                    burstDrain<sim::EventQueue>(kEvents)});
+    const Row rows[] = {
+        {"timer-chains", timerChains(kEvents)},
+        {"cancel-churn", cancelChurn(kEvents)},
+        {"burst-drain", burstDrain(kEvents)},
+    };
 
     section("kernel events/sec (2M events per scenario)");
-    std::printf("%-14s %14s %14s %9s\n", "scenario", "legacy",
-                "slab-pool", "speedup");
-    double worst = 1e300;
-    double geo = 1.0;
-    for (const Row &r : rows) {
-        double s = r.pooledEps / r.legacyEps;
-        worst = std::min(worst, s);
-        geo *= s;
-        std::printf("%-14s %14.0f %14.0f %8.2fx\n", r.name, r.legacyEps,
-                    r.pooledEps, s);
-    }
-    geo = std::pow(geo, 1.0 / static_cast<double>(rows.size()));
-    std::printf("geomean speedup: %.2fx (target >= 2x)\n", geo);
+    std::printf("%-14s %14s\n", "scenario", "slab-pool");
+    for (const Row &r : rows)
+        std::printf("%-14s %14.0f\n", r.name, r.eps);
 
     // Wall-clock spot checks of real figure benches, for the perf
     // trajectory in baselines/BENCH_simcore.json.
@@ -429,17 +342,12 @@ main(int argc, char **argv)
     std::ofstream js("BENCH_simcore.json");
     js << "{\n  \"events_per_scenario\": " << kEvents << ",\n";
     js << "  \"kernel\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
         js << "    {\"scenario\": \"" << rows[i].name
-           << "\", \"legacy_eps\": " << rows[i].legacyEps
-           << ", \"pooled_eps\": " << rows[i].pooledEps
-           << ", \"speedup\": "
-           << rows[i].pooledEps / rows[i].legacyEps << "}"
-           << (i + 1 < rows.size() ? ",\n" : "\n");
+           << "\", \"pooled_eps\": " << rows[i].eps << "}"
+           << (i + 1 < std::size(rows) ? ",\n" : "\n");
     }
-    js << "  ],\n  \"geomean_speedup\": " << geo
-       << ",\n  \"min_speedup\": " << worst
-       << ",\n  \"fig7_fio_wall_ms\": " << fioMs
+    js << "  ],\n  \"fig7_fio_wall_ms\": " << fioMs
        << ",\n  \"fig9_minipg_wall_ms\": " << pgMs << "\n}\n";
     std::printf("\nwrote BENCH_simcore.json\n");
     return 0;

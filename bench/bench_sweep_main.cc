@@ -83,7 +83,7 @@ runCell(const Cell &cell, sim::Tick horizon,
                        : cell.app == App::ycsbaRocks ? 2 * sim::MiB
                                                      : 0;
     bool doubleBuf = cell.app != App::ycsbaRedis;
-    LogRig rig = makeRig(cell.rig, half, doubleBuf);
+    rigs::Rig rig = makeRig(cell.rig, half, doubleBuf);
 
     sim::MetricRegistry registry;
     if (outMetrics)
@@ -145,14 +145,14 @@ runCell(const Cell &cell, sim::Tick horizon,
  * the parallel engine inside a single sweep job.
  */
 sim::SweepRecord
-runClusterCell(workload::ClusterConfig cfg)
+runClusterCell(const cluster::ClusterConfig &cfg)
 {
     Stopwatch sw;
     workload::ClusterResult res = workload::runCluster(cfg);
     double ms = sw.ms();
 
     sim::SweepRecord rec;
-    rec.device = cfg.wal == workload::ClusterConfig::Wal::ba
+    rec.device = cfg.wal == cluster::ClusterConfig::Wal::ba
                      ? "cluster-ba"
                      : "cluster-blk";
     rec.workload = "sharded-miniredis";
@@ -164,8 +164,9 @@ runClusterCell(workload::ClusterConfig cfg)
                         ? static_cast<double>(res.opsCompleted) /
                               sim::toSec(res.horizon)
                         : 0.0;
-    rec.meanUs = sim::toUs(res.batchP50);
-    rec.p99Us = sim::toUs(res.batchP99);
+    // Per-op latency, like every other cell (not the router's batches).
+    rec.meanUs = res.opMean / 1e3;
+    rec.p99Us = sim::toUs(res.opP99);
     rec.wallMs = ms;
     rec.eventsPerSec =
         ms > 0.0 ? static_cast<double>(res.eventsFired) / (ms / 1000.0)
@@ -224,6 +225,7 @@ main(int argc, char **argv)
     // Two sharded-cluster cells (BA-WAL and block-WAL rigs) ride along
     // with the single-device matrix; they are the only cells that use
     // the parallel engine, with --engine-threads workers each.
+    using cluster::ClusterConfig;
     std::vector<ClusterConfig> clusterCells;
     for (ClusterConfig::Wal wal :
          {ClusterConfig::Wal::ba, ClusterConfig::Wal::block}) {

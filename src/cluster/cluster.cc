@@ -11,11 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "db/minipg/minipg.hh"
+#include "db/miniredis/miniredis.hh"
+#include "rigs/rig.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "ssd/nvme_queue.hh"
-#include "wal/ba_wal.hh"
-#include "wal/block_wal.hh"
 
 namespace bssd::cluster
 {
@@ -107,19 +108,16 @@ walName(ClusterConfig::Wal w)
     return "?";
 }
 
-/** One shard: a store × WAL × device rig living in one domain. */
+/**
+ * One shard: a store over a rigs::Rig (device(s) + WAL) living in the
+ * rig's domain. The follower domain of a replicated rig is never
+ * registered with the engine: the ReplicatedWal models the
+ * inter-device link entirely inside the primary's domain, and nothing
+ * schedules events on the follower's queue.
+ */
 struct Cluster::Shard
 {
-    std::unique_ptr<ba::TwoBSsd> twoB;
-    /** Follower 2B-SSD of a replicated shard. Its domain is never
-     *  registered with the engine: the ReplicatedWal models the
-     *  inter-device link entirely inside the primary's domain, and
-     *  nothing schedules events on the follower's queue. */
-    std::unique_ptr<ba::TwoBSsd> followerTwoB;
-    std::unique_ptr<ssd::SsdDevice> blockDev;
-    std::unique_ptr<wal::LogDevice> log;
-    /** Non-owning view of log when it is a ReplicatedWal. */
-    wal::ReplicatedWal *repl = nullptr;
+    rigs::Rig rig;
     std::unique_ptr<db::miniredis::MiniRedis> redis;
     std::unique_ptr<db::minipg::MiniPg> pg;
     sim::Tracer tracer;
@@ -127,18 +125,6 @@ struct Cluster::Shard
     sim::Tick clock = 0;
     /** SET value scratch, refilled per op (capacity reused). */
     std::vector<std::uint8_t> value;
-
-    sim::Domain &
-    domain()
-    {
-        return twoB ? twoB->domain() : blockDev->domain();
-    }
-
-    ssd::SsdDevice &
-    device() const
-    {
-        return twoB ? twoB->device() : *blockDev;
-    }
 
     std::uint64_t
     contentHash() const
@@ -150,22 +136,24 @@ struct Cluster::Shard
 namespace
 {
 
-/** Mirror of the GC-campaign rig preset (tests/support/rig.hh). */
-ssd::SsdConfig
-shardDeviceConfig(const ClusterConfig &cfg, unsigned shard,
-                  bool follower = false)
+/**
+ * The rig WAL a shard runs. BA-WALs are single-buffered for Redis,
+ * respecting its single-threaded design (Section IV-B); minipg
+ * group-commits, so it keeps the double-buffered halves.
+ */
+rigs::WalKind
+shardWal(const ClusterConfig &cfg)
 {
-    ssd::SsdConfig dev = ssd::SsdConfig::tiny();
-    dev.name = "shard" + std::to_string(shard) +
-               (follower ? ".follower" : "");
-    if (cfg.gc) {
-        dev.nandCfg.geometry.blocksPerDie = 6;
-        dev.ftlCfg.backgroundGc = true;
-        dev.ftlCfg.gcStepPages = 3;
-        dev.nandCfg.sched.readPriority = true;
-        dev.nandCfg.sched.eraseSuspend = true;
+    const bool single = cfg.engine == ClusterConfig::Engine::redis;
+    switch (cfg.wal) {
+      case ClusterConfig::Wal::ba:
+        return single ? rigs::WalKind::baSingle : rigs::WalKind::ba;
+      case ClusterConfig::Wal::block: return rigs::WalKind::block;
+      case ClusterConfig::Wal::baRepl:
+        return single ? rigs::WalKind::baReplSingle
+                      : rigs::WalKind::baRepl;
     }
-    return dev;
+    return rigs::WalKind::block;
 }
 
 } // namespace
@@ -210,7 +198,7 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
     // completions an interrupt; the lookaheads are exactly those
     // minimum latencies.
     rc.requestLatency = shards_.front()
-                            ->device()
+                            ->rig.dataDevice()
                             .config()
                             .pcieCfg.minPostedLatency();
     rc.completionLatency = ssd::NvmeQueueConfig{}.completionCost;
@@ -249,94 +237,42 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
 Cluster::~Cluster()
 {
     for (auto &sh : shards_)
-        sh->domain().release(sh.get());
+        sh->rig.domain().release(sh.get());
     host_.release(this);
-}
-
-sim::Domain &
-Cluster::shardDomain(unsigned s)
-{
-    return shards_[s]->domain();
 }
 
 void
 Cluster::buildShards(sim::Tracer *trace)
 {
+    const rigs::WalKind wal = shardWal(cfg_);
+    const rigs::RigSpec spec =
+        cfg_.gc ? rigs::gcSpec(wal) : rigs::tinySpec(wal);
     shards_.reserve(cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         auto shard = std::make_unique<Shard>();
-        const std::uint64_t region =
-            cfg_.gc ? 128 * sim::KiB : sim::MiB;
-        const std::uint64_t half =
-            cfg_.gc ? 16 * sim::KiB : 32 * sim::KiB;
-        ba::BaConfig bc;
-        bc.bufferBytes = cfg_.gc ? 64 * sim::KiB : 128 * sim::KiB;
-        wal::BaWalConfig wc;
-        wc.regionBytes = region;
-        wc.halfBytes = half;
-        // Single-buffered for Redis, respecting its single-threaded
-        // design (Section IV-B); minipg group-commits, so it keeps
-        // the double-buffered halves.
-        wc.doubleBuffer = cfg_.engine == ClusterConfig::Engine::pg;
-        switch (cfg_.wal) {
-          case ClusterConfig::Wal::ba:
-            shard->twoB = std::make_unique<ba::TwoBSsd>(
-                shardDeviceConfig(cfg_, s), bc);
-            shard->log = std::make_unique<wal::BaWal>(*shard->twoB,
-                                                      wc);
-            break;
-          case ClusterConfig::Wal::block: {
-            shard->blockDev = std::make_unique<ssd::SsdDevice>(
-                shardDeviceConfig(cfg_, s));
-            wal::BlockWalConfig blk;
-            blk.regionBytes = region;
-            shard->log = std::make_unique<wal::BlockWal>(
-                *shard->blockDev, blk);
-            break;
-          }
-          case ClusterConfig::Wal::baRepl: {
-            shard->twoB = std::make_unique<ba::TwoBSsd>(
-                shardDeviceConfig(cfg_, s), bc);
-            shard->followerTwoB = std::make_unique<ba::TwoBSsd>(
-                shardDeviceConfig(cfg_, s, true), bc);
-            auto repl = std::make_unique<wal::ReplicatedWal>(
-                std::make_unique<wal::BaWal>(*shard->twoB, wc),
-                std::make_unique<wal::BaWal>(*shard->followerTwoB,
-                                             wc),
-                cfg_.repl);
-            shard->repl = repl.get();
-            shard->log = std::move(repl);
-            break;
-          }
-        }
+        shard->rig = rigs::makeRig(spec, "shard" + std::to_string(s));
         if (cfg_.engine == ClusterConfig::Engine::redis) {
             shard->redis = std::make_unique<db::miniredis::MiniRedis>(
-                *shard->log);
+                *shard->rig.log);
         } else {
             shard->pg = std::make_unique<db::minipg::MiniPg>(
-                *shard->log);
+                *shard->rig.log);
         }
+        sim::Domain &dom = shard->rig.domain();
         if (trace) {
             // Stream s+1 keeps this shard's global span ids disjoint
             // from the host's (stream 0) and every other shard's.
             shard->tracer.setStream(s + 1);
-            shard->domain().setTracer(&shard->tracer);
-            if (shard->twoB)
-                shard->twoB->installTracer(&shard->tracer);
-            if (shard->followerTwoB)
-                shard->followerTwoB->installTracer(&shard->tracer);
-            if (shard->blockDev)
-                shard->blockDev->setTracer(&shard->tracer);
-            shard->log->setTracer(&shard->tracer);
+            dom.setTracer(&shard->tracer);
+            shard->rig.installTracer(&shard->tracer);
         }
-        shards_.push_back(std::move(shard));
         // The Shard aggregate (store, WAL handle, tracer, service
         // clock) is state of its own domain; the rig components
         // already adopted themselves in their constructors.
-        shards_.back()->domain().adopt(shards_.back().get(),
-                                       sizeof(Shard), "cluster.shard");
-        engine_.add(shards_.back()->domain());
-        shardDoms_.push_back(&shards_.back()->domain());
+        dom.adopt(shard.get(), sizeof(Shard), "cluster.shard");
+        engine_.add(dom);
+        shardDoms_.push_back(&dom);
+        shards_.push_back(std::move(shard));
     }
 }
 
@@ -413,8 +349,10 @@ Cluster::run()
     };
     auto nextEvent = [&] {
         sim::Tick next = host_.queue().nextEventTime();
-        for (auto &sh : shards_)
-            next = std::min(next, sh->domain().queue().nextEventTime());
+        for (auto &sh : shards_) {
+            next = std::min(next,
+                            sh->rig.domain().queue().nextEventTime());
+        }
         return next;
     };
     while (!finished()) {
@@ -491,14 +429,15 @@ Cluster::buildSlo()
             return static_cast<double>(router_->outstanding(s));
         });
         reg->addGauge(p + ".wal_bytes", [sh] {
-            return static_cast<double>(sh->log->bytesToStore());
+            return static_cast<double>(sh->rig.log->bytesToStore());
         });
         reg->addGauge(p + ".gc_debt", [sh] {
             // Blocks short of the GC high watermark: >0 means the
             // shard is burning margin and relocations are (or will
             // be) stealing bandwidth from foreground ops.
-            const auto &fc = sh->device().config().ftlCfg;
-            const std::uint32_t free = sh->device().ftl().freeBlocks();
+            const ssd::SsdDevice &dev = sh->rig.dataDevice();
+            const auto &fc = dev.config().ftlCfg;
+            const std::uint32_t free = dev.ftl().freeBlocks();
             return free >= fc.gcHighWaterBlocks
                        ? 0.0
                        : static_cast<double>(fc.gcHighWaterBlocks -
@@ -622,7 +561,7 @@ Cluster::runStep(std::size_t step)
     host_.post(*shardDoms_[mr.from], host_.now() + toVictim,
                rebalCtx(), [this, step, mr] {
         Shard &sh = *shards_[mr.from];
-        sim::Domain &dom = sh.domain();
+        sim::Domain &dom = sh.rig.domain();
         sim::Tick t = std::max(sh.clock, dom.now());
         auto moved = std::make_shared<std::vector<
             std::pair<std::uint64_t, std::vector<std::uint8_t>>>>();
@@ -687,7 +626,7 @@ Cluster::runStep(std::size_t step)
             host_.post(*shardDoms_[mr.to], host_.now() + toTarget,
                        rebalCtx(), [this, step, mr, moved] {
                 Shard &dst = *shards_[mr.to];
-                sim::Domain &ddom = dst.domain();
+                sim::Domain &ddom = dst.rig.domain();
                 sim::Tick t = std::max(dst.clock, ddom.now());
                 for (const auto &[id, value] : *moved) {
                     if (dst.redis)
@@ -709,7 +648,7 @@ Cluster::runStep(std::size_t step)
                                host_.now() + toVic, rebalCtx(),
                                [this, step, mr, moved] {
                         Shard &vic = *shards_[mr.from];
-                        sim::Domain &vdom = vic.domain();
+                        sim::Domain &vdom = vic.rig.domain();
                         sim::Tick t =
                             std::max(vic.clock, vdom.now());
                         for (const auto &kv : *moved) {
@@ -779,11 +718,11 @@ Cluster::stateDigest() const
             f.mix(sh->pg->nodeCount());
             f.mix(sh->pg->linkCount());
         }
-        f.mix(sh->device().readsServed());
-        f.mix(sh->device().writesServed());
-        if (sh->followerTwoB) {
-            f.mix(sh->followerTwoB->device().readsServed());
-            f.mix(sh->followerTwoB->device().writesServed());
+        f.mix(sh->rig.dataDevice().readsServed());
+        f.mix(sh->rig.dataDevice().writesServed());
+        if (const auto &follower = sh->rig.followerTwoB) {
+            f.mix(follower->device().readsServed());
+            f.mix(follower->device().writesServed());
         }
     }
     f.mix(map_.version());
@@ -796,19 +735,8 @@ Cluster::metricsSnapshot() const
 {
     sim::MetricRegistry reg;
     engine_.registerMetrics(reg, "engine");
-    for (unsigned s = 0; s < cfg_.shards; ++s) {
-        const Shard &sh = *shards_[s];
-        const std::string prefix = "shard" + std::to_string(s);
-        if (sh.twoB)
-            sh.twoB->registerMetrics(reg, prefix + ".ba");
-        if (sh.followerTwoB) {
-            sh.followerTwoB->registerMetrics(reg,
-                                             prefix + ".follower_ba");
-        }
-        if (sh.blockDev)
-            sh.blockDev->registerMetrics(reg, prefix + ".ssd");
-        sh.log->registerMetrics(reg, prefix + ".wal");
-    }
+    for (unsigned s = 0; s < cfg_.shards; ++s)
+        shards_[s]->rig.registerMetrics(reg, "shard" + std::to_string(s));
     sim::MetricsSnapshot snap = reg.snapshot();
     // The SLO gauges live in per-shard registries (each with its own
     // sampler); merge() is a path union, which is what carries gauges
@@ -937,7 +865,7 @@ Cluster::plantEntry(unsigned shard, std::uint64_t key,
                     std::span<const std::uint8_t> value)
 {
     Shard &sh = *shards_.at(shard);
-    const sim::Tick t = std::max(sh.clock, sh.domain().now());
+    const sim::Tick t = std::max(sh.clock, sh.rig.domain().now());
     sh.clock = sh.redis ? sh.redis->set(t, redisKey(key), value)
                         : sh.pg->addNode(t, key, value);
 }
@@ -946,7 +874,8 @@ bool
 Cluster::crashAndRecoverShard(unsigned shard)
 {
     Shard &sh = *shards_.at(shard);
-    if (!sh.repl) {
+    wal::ReplicatedWal *repl = sh.rig.repl();
+    if (!repl) {
         sim::panic("crashAndRecoverShard: shard ", shard,
                    " has no replicated WAL (wal=", walName(cfg_.wal),
                    ")");
@@ -957,12 +886,12 @@ Cluster::crashAndRecoverShard(unsigned shard)
     // must not precede the domain clock (the engine advanced it to
     // the run horizon), or the capacitor-dump events the power loss
     // schedules would land in the past.
-    sh.repl->crash(std::max(sh.clock, sh.domain().now()));
+    repl->crash(std::max(sh.clock, sh.rig.domain().now()));
     if (sh.redis)
         sh.redis->recover();
     else
         sh.pg->recover();
-    return sh.contentHash() == before && sh.repl->promoted();
+    return sh.contentHash() == before && repl->promoted();
 }
 
 } // namespace bssd::cluster

@@ -8,11 +8,12 @@
  *  - one host domain running a host::ShardRouter fed by an open-loop
  *    arrival process (Poisson or bursty, thousands of simulated
  *    users);
- *  - N shard domains, each a full rig: miniredis or minipg over a
- *    BA-WAL on a 2B-SSD, a page-aligned block WAL, or a BA-WAL
- *    synchronously replicated to a follower 2B-SSD
- *    (wal::ReplicatedWal), optionally with the GC preset that keeps
- *    incremental background GC continuously active;
+ *  - N shard domains, each miniredis or minipg over a rigs::Rig
+ *    built by the rig library (src/rigs/rig.hh): a BA-WAL on a
+ *    2B-SSD, a page-aligned block WAL, or a BA-WAL synchronously
+ *    replicated to a follower 2B-SSD (wal::ReplicatedWal), on the
+ *    GC preset that keeps incremental background GC continuously
+ *    active or on the tiny crash-matrix preset;
  *  - a cluster::ShardMap routing keys by hash or by contiguous range,
  *    consulted by the router's route function on every operation.
  *
@@ -51,10 +52,7 @@
 #include <string>
 #include <vector>
 
-#include "ba/two_b_ssd.hh"
 #include "cluster/shard_map.hh"
-#include "db/minipg/minipg.hh"
-#include "db/miniredis/miniredis.hh"
 #include "host/shard_router.hh"
 #include "sim/client.hh"
 #include "sim/domain.hh"
@@ -62,9 +60,6 @@
 #include "sim/metrics.hh"
 #include "sim/report.hh"
 #include "sim/trace.hh"
-#include "ssd/ssd_device.hh"
-#include "wal/log_device.hh"
-#include "wal/replicated_wal.hh"
 
 namespace bssd::cluster
 {
@@ -102,9 +97,6 @@ struct ClusterConfig
 
     /** Engine worker threads (1 = serial reference). */
     unsigned engineThreads = 1;
-
-    /** Inter-device link model for Wal::baRepl shards. */
-    wal::ReplicatedWalConfig repl;
 
     /** @name Router workload (see host::RouterConfig) @{ */
     std::uint32_t opsPerCycle = 64;
@@ -264,10 +256,9 @@ class Cluster
     /** @} */
 
   private:
-    /** One shard: a store × WAL × device rig living in one domain. */
+    /** One shard: a store over a rigs::Rig, living in the rig's domain. */
     struct Shard;
 
-    sim::Domain &shardDomain(unsigned s);
     void buildShards(sim::Tracer *trace);
     host::ShardRouter::ShardExec makeExec();
     void buildSlo();

@@ -1145,7 +1145,7 @@ runRules(const LexedFile &f, const ProjectTables &tables)
         // Span/resource/metric display names elsewhere may share the
         // layer prefixes without being tracepoints.
         bool wholeFile = f.path.rfind("tests/fault/", 0) == 0 ||
-                         f.path.rfind("tests/support/", 0) == 0 ||
+                         f.path.rfind("src/rigs/", 0) == 0 ||
                          f.path == "tools/crash_campaign.cc";
         std::vector<bool> inScope(toks.size(), wholeFile);
         if (!wholeFile) {

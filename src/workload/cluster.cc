@@ -8,60 +8,15 @@
 namespace bssd::workload
 {
 
-namespace
-{
-
-cluster::ClusterConfig
-toClusterConfig(const ClusterConfig &cfg)
-{
-    cluster::ClusterConfig c;
-    c.shards = cfg.shards;
-    c.engine = cfg.engine == ClusterConfig::Engine::redis
-                   ? cluster::ClusterConfig::Engine::redis
-                   : cluster::ClusterConfig::Engine::pg;
-    switch (cfg.wal) {
-      case ClusterConfig::Wal::ba:
-        c.wal = cluster::ClusterConfig::Wal::ba;
-        break;
-      case ClusterConfig::Wal::block:
-        c.wal = cluster::ClusterConfig::Wal::block;
-        break;
-      case ClusterConfig::Wal::baRepl:
-        c.wal = cluster::ClusterConfig::Wal::baRepl;
-        break;
-    }
-    c.gc = cfg.gc;
-    c.sharding = cfg.rangeSharded ? cluster::Sharding::range
-                                  : cluster::Sharding::hash;
-    c.engineThreads = cfg.engineThreads;
-    c.opsPerCycle = cfg.opsPerCycle;
-    c.cycles = cfg.cycles;
-    c.arrival = cfg.arrival;
-    c.setFraction = cfg.setFraction;
-    c.keySpace = cfg.keySpace;
-    c.valueBytes = cfg.valueBytes;
-    c.seed = cfg.seed;
-    c.queuePairs = cfg.nvmeQueuePairs;
-    c.queueDepth = cfg.nvmeQueueDepth;
-    c.rebalanceAtCycle = cfg.rebalanceAtCycle;
-    c.moveBegin256 = cfg.moveBegin256;
-    c.moveEnd256 = cfg.moveEnd256;
-    c.moveTo = cfg.moveTo;
-    return c;
-}
-
-} // namespace
-
 ClusterResult
-runCluster(const ClusterConfig &cfg, sim::Tracer *trace,
+runCluster(const cluster::ClusterConfig &cfg, sim::Tracer *trace,
            const PhaseHook &onPhase)
 {
     auto phase = [&onPhase](std::string_view name) {
         if (onPhase)
             onPhase(name);
     };
-    auto c = std::make_unique<cluster::Cluster>(toClusterConfig(cfg),
-                                                trace);
+    auto c = std::make_unique<cluster::Cluster>(cfg, trace);
     phase("build");
     c->run();
     phase("run");
@@ -84,6 +39,7 @@ runCluster(const ClusterConfig &cfg, sim::Tracer *trace,
     res.horizon = c->horizon();
     res.batchP50 = router.batchLatency().percentile(50.0);
     res.batchP99 = router.batchLatency().percentile(99.0);
+    res.opMean = router.opLatency().mean();
     res.opP50 = router.opLatency().percentile(50.0);
     res.opP99 = router.opLatency().percentile(99.0);
     res.opP999 = router.opLatency().percentile(99.9);

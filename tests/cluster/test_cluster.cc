@@ -365,6 +365,81 @@ TEST(Cluster, SnapshotCarriesEngineAndOneSidedSloMetrics)
     }
 }
 
+namespace
+{
+
+/** FNV-1a over a string (the golden table's metrics fingerprint). */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(Cluster, ConstructionMatchesGoldenDigests)
+{
+    // Every shard flavour's construction pinned against recorded
+    // values: a drifted device preset, WAL geometry, buffering mode or
+    // metric prefix changes the state digest or the metrics bytes.
+    // Recorded from the hand-built shards that preceded the rig
+    // library; the table must never be edited to make it pass.
+    using Engine = ClusterConfig::Engine;
+    using Wal = ClusterConfig::Wal;
+    struct Golden
+    {
+        Engine engine;
+        Wal wal;
+        bool gc;
+        std::uint64_t digest;
+        std::uint64_t metricsHash;
+    };
+    const Golden table[] = {
+        {Engine::redis, Wal::ba, true,
+         0xb59cf1c228cfa26f, 0x2d28d0a411461753},
+        {Engine::redis, Wal::ba, false,
+         0xb59cf1c228cfa26f, 0x4d8560ec27bc61d3},
+        {Engine::redis, Wal::block, true,
+         0x6a2898a79bc22ac4, 0xbaf2f11e7c609f94},
+        {Engine::redis, Wal::block, false,
+         0x6a2898a79bc22ac4, 0xaaecc0c9d35b24d0},
+        {Engine::redis, Wal::baRepl, true,
+         0xee91ea63e18d326f, 0x012e422983168d6b},
+        {Engine::redis, Wal::baRepl, false,
+         0xee91ea63e18d326f, 0x62644fa40eb66d55},
+        {Engine::pg, Wal::ba, true,
+         0x229cc6532e1267a8, 0x40072fdc14848232},
+        {Engine::pg, Wal::ba, false,
+         0x229cc6532e1267a8, 0x5413cc5f9c54737a},
+        {Engine::pg, Wal::block, true,
+         0xc6ceaa4ceab19233, 0xac230f3fa2aa1418},
+        {Engine::pg, Wal::block, false,
+         0xc6ceaa4ceab19233, 0x3318f4b2fdcd7766},
+        {Engine::pg, Wal::baRepl, true,
+         0x04c322724e901f28, 0x9220a914f0b789a3},
+        {Engine::pg, Wal::baRepl, false,
+         0x04c322724e901f28, 0xfd4ce4598f3745f9},
+    };
+    for (const Golden &g : table) {
+        SCOPED_TRACE(std::string(cluster::engineName(g.engine)) + " x " +
+                     cluster::walName(g.wal) +
+                     (g.gc ? " gc=on" : " gc=off"));
+        ClusterConfig cfg = smallFleet();
+        cfg.engine = g.engine;
+        cfg.wal = g.wal;
+        cfg.gc = g.gc;
+        Cluster c(cfg);
+        c.run();
+        EXPECT_EQ(c.stateDigest(), g.digest);
+        EXPECT_EQ(fnv1a(c.metricsJson()), g.metricsHash);
+    }
+}
+
 TEST(Cluster, RejectsBadConfigurations)
 {
     ClusterConfig none;

@@ -19,9 +19,8 @@
 
 #include <string>
 
+#include "rigs/crash_harness.hh"
 #include "sim/logging.hh"
-
-#include "../support/crash_harness.hh"
 
 using namespace bssd;
 using campaign::CellConfig;

@@ -22,9 +22,8 @@
 #include "db/minipg/minipg.hh"
 #include "db/miniredis/miniredis.hh"
 #include "db/minirocks/minirocks.hh"
+#include "rigs/rig.hh"
 #include "sim/rng.hh"
-
-#include "../support/rig.hh"
 
 using namespace bssd;
 using rigs::WalKind;

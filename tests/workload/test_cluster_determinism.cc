@@ -10,11 +10,12 @@
 #include <sstream>
 #include <string>
 
+#include "cluster/cluster.hh"
 #include "sim/trace.hh"
 #include "workload/cluster.hh"
 
 using namespace bssd;
-using workload::ClusterConfig;
+using cluster::ClusterConfig;
 using workload::ClusterResult;
 
 namespace
@@ -112,8 +113,8 @@ TEST(ClusterDeterminism, QueueGatedRigIdenticalAcrossThreadCounts)
     // the hot path; parked batches are released by completion events,
     // so this exercises the host domain's ordering under load.
     ClusterConfig cfg = smallCluster();
-    cfg.nvmeQueuePairs = 2;
-    cfg.nvmeQueueDepth = 1;
+    cfg.queuePairs = 2;
+    cfg.queueDepth = 1;
     cfg.arrival.kind = sim::ArrivalSpec::Kind::bursty;
     cfg.arrival.burstSize = 6;
     cfg.arrival.burstGap = sim::usOf(5);
@@ -149,7 +150,8 @@ TEST(ClusterDeterminism, RebalanceInFlightIdenticalAcrossThreadCounts)
     // Chrome traces must still match the serial run byte for byte.
     for (bool range : {false, true}) {
         ClusterConfig cfg = smallCluster();
-        cfg.rangeSharded = range;
+        cfg.sharding =
+            range ? cluster::Sharding::range : cluster::Sharding::hash;
         cfg.cycles = 16;
         cfg.rebalanceAtCycle = 6;
         cfg.moveBegin256 = 0;
@@ -196,4 +198,18 @@ TEST(ClusterDeterminism, PgBurstyArrivalsIdenticalAcrossThreadCounts)
 
     expectIdentical(runAt(cfg, 2), serial, "2 threads vs serial");
     expectIdentical(runAt(cfg, 8), serial, "8 threads vs serial");
+}
+
+TEST(ClusterResult, OpMeanIsTheRoutersPerOpMean)
+{
+    // The result's mean is per operation, like opP99, not per batch.
+    const ClusterConfig cfg = smallCluster();
+    const ClusterResult res = workload::runCluster(cfg);
+    cluster::Cluster c(cfg);
+    c.run();
+    const sim::Histogram &ops = c.router().opLatency();
+    ASSERT_GT(ops.count(), 0u);
+    EXPECT_EQ(res.opMean, static_cast<double>(ops.sum()) /
+                              static_cast<double>(ops.count()));
+    EXPECT_EQ(res.opP99, ops.percentile(99.0));
 }

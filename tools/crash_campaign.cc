@@ -1,7 +1,7 @@
 /**
  * @file
  * crash_campaign: command-line front end of the crash-point durability
- * campaign (tests/support/crash_harness.hh).
+ * campaign (src/rigs/crash_harness.hh).
  *
  * Default mode sweeps every (engine x durable WAL) cell for the given
  * seeds: enumerate all durability tracepoint hits of the cell's op
@@ -28,10 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "rigs/crash_harness.hh"
 #include "sim/logging.hh"
 #include "sim/report.hh"
-
-#include "../tests/support/crash_harness.hh"
 
 using namespace bssd;
 using campaign::CellConfig;
