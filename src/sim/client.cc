@@ -129,7 +129,7 @@ ClosedLoopDriver::run(Tick horizon)
             panic("client operation did not advance its clock");
         if (after <= horizon) {
             ++completedOps_;
-            latency_.sample(after - before);
+            latency_.record(after - before);
         }
     }
     return completedOps_;

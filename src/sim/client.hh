@@ -156,8 +156,8 @@ class ClosedLoopDriver
     /** Completed operations per simulated second over the last run(). */
     double throughputOpsPerSec() const;
 
-    /** Per-operation latency distribution over the last run(). */
-    const Distribution &latency() const { return latency_; }
+    /** Per-operation latency histogram over the last run(). */
+    const Histogram &latency() const { return latency_; }
 
     /** Number of registered clients. */
     std::size_t clients() const { return clients_.size(); }
@@ -170,7 +170,7 @@ class ClosedLoopDriver
     };
 
     std::vector<Client> clients_;
-    Distribution latency_{"op-latency-ns"};
+    Histogram latency_{"op-latency-ns"};
     std::uint64_t completedOps_ = 0;
     Tick startAt_ = 0;
     Tick lastHorizon_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/metrics.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 #include "sim/logging.hh"
@@ -20,40 +19,9 @@ MetricValue::mean() const
 std::uint64_t
 MetricValue::percentile(double p) const
 {
-    if (kind == Kind::dist) {
-        if (samples.empty())
-            return 0;
-        if (p <= 0.0)
-            return min;
-        if (p >= 100.0)
-            return max;
-        std::vector<std::uint64_t> sorted(samples);
-        std::sort(sorted.begin(), sorted.end());
-        double rank =
-            p / 100.0 * static_cast<double>(sorted.size() - 1);
-        auto idx = static_cast<std::size_t>(std::llround(rank));
-        return sorted[std::min(idx, sorted.size() - 1)];
-    }
-    if (kind == Kind::hist) {
-        if (count == 0)
-            return 0;
-        if (p <= 0.0)
-            return min;
-        if (p >= 100.0)
-            return max;
-        const auto target = static_cast<std::uint64_t>(
-            std::llround(p / 100.0 * static_cast<double>(count - 1)));
-        std::uint64_t cum = 0;
-        for (const auto &[index, n] : buckets) {
-            cum += n;
-            if (cum > target) {
-                return std::clamp(Histogram::bucketMid(index), min,
-                                  max);
-            }
-        }
-        return max;
-    }
-    return 0;
+    return kind == Kind::hist
+        ? Histogram::percentileOf(buckets, count, min, max, p)
+        : 0;
 }
 
 const MetricValue *
@@ -76,26 +44,6 @@ mergeValue(MetricValue &into, const MetricValue &from)
       case MetricValue::Kind::gauge:
         into.value += from.value;
         return;
-      case MetricValue::Kind::dist: {
-        const bool was_empty = into.count == 0;
-        into.count += from.count;
-        into.sum += from.sum;
-        if (from.count > 0) {
-            into.min = was_empty ? from.min
-                                 : std::min(into.min, from.min);
-            into.max = std::max(into.max, from.max);
-        }
-        // Reservoirs concatenate up to the default retained cap:
-        // order-dependent but deterministic for a fixed merge order,
-        // which is all the sweep coordinator needs.
-        constexpr std::size_t cap = 16384;
-        for (std::uint64_t s : from.samples) {
-            if (into.samples.size() >= cap)
-                break;
-            into.samples.push_back(s);
-        }
-        return;
-      }
       case MetricValue::Kind::hist: {
         const bool was_empty = into.count == 0;
         into.count += from.count;
@@ -105,28 +53,10 @@ mergeValue(MetricValue &into, const MetricValue &from)
                                  : std::min(into.min, from.min);
             into.max = std::max(into.max, from.max);
         }
-        // Sparse bucket-wise add: both sides are index-ascending.
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-        out.reserve(into.buckets.size() + from.buckets.size());
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < into.buckets.size() || j < from.buckets.size()) {
-            if (j >= from.buckets.size() ||
-                (i < into.buckets.size() &&
-                 into.buckets[i].first < from.buckets[j].first)) {
-                out.push_back(into.buckets[i++]);
-            } else if (i >= into.buckets.size() ||
-                       from.buckets[j].first < into.buckets[i].first) {
-                out.push_back(from.buckets[j++]);
-            } else {
-                out.emplace_back(into.buckets[i].first,
-                                 into.buckets[i].second +
-                                     from.buckets[j].second);
-                ++i;
-                ++j;
-            }
-        }
-        into.buckets = std::move(out);
+        if (into.buckets.size() < from.buckets.size())
+            into.buckets.resize(from.buckets.size());
+        for (std::size_t i = 0; i < from.buckets.size(); ++i)
+            into.buckets[i] += from.buckets[i];
         return;
       }
     }
@@ -180,12 +110,10 @@ MetricsSnapshot::writeJson(std::ostream &os, int indent) const
           case MetricValue::Kind::gauge:
             os << "{\"type\": \"gauge\", \"value\": " << v.value << "}";
             break;
-          case MetricValue::Kind::dist:
           case MetricValue::Kind::hist:
-            os << "{\"type\": \""
-               << (v.kind == MetricValue::Kind::dist ? "dist" : "hist")
-               << "\", \"count\": " << v.count << ", \"sum\": " << v.sum
-               << ", \"min\": " << v.min << ", \"max\": " << v.max
+            os << "{\"type\": \"hist\", \"count\": " << v.count
+               << ", \"sum\": " << v.sum << ", \"min\": " << v.min
+               << ", \"max\": " << v.max
                << ", \"mean\": " << v.mean()
                << ", \"p50\": " << v.percentile(50)
                << ", \"p99\": " << v.percentile(99)
@@ -213,16 +141,6 @@ MetricRegistry::addCounter(const std::string &path, const Counter &c)
     Entry e;
     e.kind = MetricValue::Kind::counter;
     e.counter = &c;
-    insert(path, std::move(e));
-}
-
-void
-MetricRegistry::addDistribution(const std::string &path,
-                                const Distribution &d)
-{
-    Entry e;
-    e.kind = MetricValue::Kind::dist;
-    e.dist = &d;
     insert(path, std::move(e));
 }
 
@@ -295,24 +213,18 @@ MetricRegistry::snapshot() const
           case MetricValue::Kind::gauge:
             v.value = e.gauge ? e.gauge() : 0.0;
             break;
-          case MetricValue::Kind::dist:
-            v.count = e.dist->count();
-            v.sum = e.dist->sum();
-            v.min = e.dist->min();
-            v.max = e.dist->max();
-            v.samples = e.dist->samples();
-            break;
-          case MetricValue::Kind::hist:
+          case MetricValue::Kind::hist: {
             v.count = e.hist->count();
             v.sum = e.hist->sum();
             v.min = e.hist->min();
             v.max = e.hist->max();
-            for (std::uint32_t i = 0; i < Histogram::bucketCount();
-                 ++i) {
-                if (std::uint64_t n = e.hist->bucketAt(i))
-                    v.buckets.emplace_back(i, n);
-            }
+            // Empty buckets past the largest sample carry nothing.
+            auto b = e.hist->buckets();
+            while (!b.empty() && b.back() == 0)
+                b = b.first(b.size() - 1);
+            v.buckets.assign(b.begin(), b.end());
             break;
+          }
         }
         snap.rows.emplace(path, std::move(v));
     }

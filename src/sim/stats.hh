@@ -1,14 +1,15 @@
 /**
  * @file
- * Lightweight statistics: counters, latency distributions and a
- * fixed-footprint histogram for hot paths.
+ * Lightweight statistics: counters and the one percentile-bearing
+ * type, a fixed-footprint log-linear histogram.
  *
  * Every experiment in the benchmark harness reports through these.
- * Distribution keeps exact min/max/mean plus a bounded reservoir for
- * percentile queries, so memory stays constant no matter how many
- * samples a run records. Histogram trades a bounded relative error
- * for a record() that is a handful of bit operations — the right tool
- * for per-I/O instrumentation inside the device models.
+ * Histogram keeps exact count/sum/min/max plus an exact count per
+ * bucket, so memory stays constant no matter how many samples a run
+ * records, merges are exact, and every percentile - p99.9 included -
+ * sees every sample, with a bounded relative error. record() is a
+ * handful of bit operations, cheap enough for per-I/O instrumentation
+ * inside the device models.
  */
 
 #ifndef BSSD_SIM_STATS_HH
@@ -16,10 +17,9 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
-#include "sim/rng.hh"
 #include "sim/ticks.hh"
 
 namespace bssd::sim
@@ -41,80 +41,6 @@ class Counter
   private:
     std::string name_;
     std::uint64_t value_ = 0;
-};
-
-/**
- * Streaming distribution with percentile support.
- *
- * Uses reservoir sampling (Vitter's algorithm R) with a fixed-size
- * reservoir; exact statistics (count/sum/min/max) are always precise,
- * percentiles are estimates over the reservoir.
- *
- * percentile() caches the sorted reservoir; once the reservoir is full
- * most samples do not displace a slot, so the cache survives across
- * interleaved sample()/percentile() calls and repeated percentile
- * queries cost one binary-search-free lookup instead of a sort.
- */
-class Distribution
-{
-  public:
-    /**
-     * @param name          for reporting
-     * @param reservoirSize number of retained samples for percentiles
-     */
-    explicit Distribution(std::string name = "dist",
-                          std::size_t reservoirSize = 16384);
-
-    /** Record one sample. */
-    void sample(std::uint64_t v);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-    std::uint64_t min() const { return count_ ? min_ : 0; }
-    std::uint64_t max() const { return max_; }
-    double mean() const;
-
-    /**
-     * Estimated p-th percentile (p in [0, 100]; out-of-range values
-     * clamp to the min/max).
-     * @return 0 when no samples were recorded.
-     */
-    std::uint64_t percentile(double p) const;
-
-    /**
-     * Fold @p other into this distribution. Exact statistics
-     * (count/sum/min/max) add exactly; the reservoir absorbs the
-     * other side's retained samples through the same algorithm-R
-     * stream, so the result is deterministic for a fixed merge order.
-     * Invalidates the cached sorted reservoir.
-     */
-    void merge(const Distribution &other);
-
-    /** Retained reservoir samples (registry snapshots, tests). */
-    const std::vector<std::uint64_t> &samples() const
-    {
-        return reservoir_;
-    }
-
-    /**
-     * Forget all samples: empties the reservoir, invalidates the
-     * cached sorted copy and restores the min/max sentinels, so a
-     * reused instance is indistinguishable from a fresh one.
-     */
-    void reset();
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::size_t cap_;
-    std::vector<std::uint64_t> reservoir_;
-    mutable std::vector<std::uint64_t> sorted_;
-    mutable bool sortedValid_ = false;
-    Rng rng_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = ~std::uint64_t(0);
-    std::uint64_t max_ = 0;
 };
 
 /**
@@ -166,26 +92,25 @@ class Histogram
     void reset();
     const std::string &name() const { return name_; }
 
-    /** @name Bucket introspection (registry snapshots, exporters) @{ */
+    /** Per-bucket counts in index order (registry snapshots). */
+    std::span<const std::uint64_t> buckets() const { return buckets_; }
 
-    /** Total number of buckets in the index space. */
-    static constexpr unsigned bucketCount() { return kBuckets; }
-
-    /** Occupancy of bucket @p index. */
-    std::uint64_t
-    bucketAt(unsigned index) const
-    {
-        return buckets_[index];
-    }
-
-    /** Representative (midpoint) value of bucket @p index. */
+    /**
+     * The nearest-rank bucket walk behind every percentile: the
+     * sample at rank llround(p/100 * (count-1)) is answered with its
+     * bucket's midpoint, clamped to the exact [min, max]. percentile()
+     * walks the live buckets; MetricValue::percentile walks a
+     * snapshot's copy.
+     *
+     * @param buckets per-bucket counts indexed like buckets(); trailing
+     *                empty buckets may be omitted
+     * @param count   total of @p buckets
+     * @return 0 when @p count is 0; min / max for p <= 0 / p >= 100
+     */
     static std::uint64_t
-    bucketMid(unsigned index)
-    {
-        return bucketMidpoint(index);
-    }
-
-    /** @} */
+    percentileOf(std::span<const std::uint64_t> buckets,
+                 std::uint64_t count, std::uint64_t min, std::uint64_t max,
+                 double p);
 
   private:
     // Index space: [0, kSubBuckets) exact values, then one group of

@@ -83,7 +83,7 @@ runFio(ssd::SsdDevice &dev, const FioJob &job)
         (job.queueDepth + queues - 1) / queues);
     ssd::NvmeMultiQueue mq(dev, queues, qcfg);
 
-    sim::Distribution lat("fio.lat");
+    sim::Histogram lat("fio.lat");
     std::vector<std::uint8_t> wdata(job.blockSize, 0x3f);
     // One read buffer per outstanding slot.
     std::vector<std::vector<std::uint8_t>> rbufs(
@@ -128,7 +128,7 @@ runFio(ssd::SsdDevice &dev, const FioJob &job)
             auto cpl = mq.poll(t);
             if (cpl.has_value()) {
                 ++completed;
-                lat.sample(cpl->completedAt - issueTime[cpl->cid]);
+                lat.record(cpl->completedAt - issueTime[cpl->cid]);
                 freeSlots.push_back(cpl->cid);
                 t = std::max(t, cpl->completedAt);
                 break;

@@ -64,6 +64,30 @@ TEST(ClosedLoopDriver, LatencyDistributionRecorded)
     EXPECT_EQ(d.latency().max(), usOf(5));
 }
 
+TEST(ClosedLoopDriver, RerunReportsOnlyItsOwnLatencies)
+{
+    // Each op's latency is a function of the client clock, which every
+    // run() rewinds, so a reused driver must report exactly what a
+    // fresh one does: the earlier, longer run leaves nothing behind.
+    auto op = [](Clock &c) {
+        c.advance(usOf(1 + (c.now() / usOf(7)) % 13));
+    };
+    ClosedLoopDriver reused, fresh;
+    reused.addClient(op);
+    fresh.addClient(op);
+    reused.run(msOf(3));
+    const std::uint64_t ops = reused.run(msOf(1));
+    EXPECT_EQ(fresh.run(msOf(1)), ops);
+    EXPECT_EQ(reused.latency().count(), ops);
+    EXPECT_EQ(reused.latency().sum(), fresh.latency().sum());
+    EXPECT_EQ(reused.latency().max(), fresh.latency().max());
+    for (double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 99.99, 100.0}) {
+        EXPECT_EQ(reused.latency().percentile(p),
+                  fresh.latency().percentile(p))
+            << "p=" << p;
+    }
+}
+
 TEST(ClosedLoopDriver, StuckClientPanics)
 {
     ClosedLoopDriver d;

@@ -15,6 +15,7 @@
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/report.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 using namespace bssd::sim;
@@ -22,13 +23,13 @@ using namespace bssd::sim;
 TEST(MetricRegistry, RegistersEveryKind)
 {
     Counter c("c");
-    Distribution d("d", 64);
+    Histogram lat("lat");
     Histogram h("h");
     double gaugeState = 3.5;
 
     MetricRegistry reg;
     reg.addCounter("ssd0.writes", c);
-    reg.addDistribution("ssd0.write_lat", d);
+    reg.addHistogram("ssd0.write_lat", lat);
     reg.addHistogram("ssd0.ftl.gc.pause", h);
     reg.addGauge("ssd0.ftl.waf", [&] { return gaugeState; });
 
@@ -133,25 +134,39 @@ TEST(MetricsSnapshot, MergeHistogramsBucketWise)
     EXPECT_GE(v->percentile(99.0), 900u);
 }
 
-TEST(MetricsSnapshot, MergeDistributionsKeepsExactStats)
+TEST(MetricsSnapshot, PercentileMatchesLiveHistogram)
 {
-    Distribution d1("d", 64), d2("d", 64);
-    d1.sample(1);
-    d1.sample(3);
-    d2.sample(100);
+    // A snapshot row and the live Histogram answer through the same
+    // bucket walk: equal at every percentile, before and after a
+    // two-registry merge (against the live bucket-wise merge).
+    Histogram h1("h"), h2("h");
+    Rng rng(2718);
+    for (int i = 0; i < 20000; ++i) {
+        h1.record(1'000 + rng.nextBelow(50'000));
+        h2.record(rng.nextBelow(100) < 90
+                      ? rng.nextBelow(5'000)
+                      : 1'000'000 + rng.nextBelow(3'000'000));
+    }
     MetricRegistry r1, r2;
-    r1.addDistribution("rig.lat", d1);
-    r2.addDistribution("rig.lat", d2);
+    r1.addHistogram("rig.lat", h1);
+    r2.addHistogram("rig.lat", h2);
 
-    MetricsSnapshot merged = r1.snapshot();
-    merged.merge(r2.snapshot());
-    const MetricValue *v = merged.find("rig.lat");
+    const double grid[] = {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 99.99, 100.0};
+    MetricsSnapshot snap = r1.snapshot();
+    const MetricValue *v = snap.find("rig.lat");
     ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->count, 3u);
-    EXPECT_EQ(v->sum, 104u);
-    EXPECT_EQ(v->min, 1u);
-    EXPECT_EQ(v->max, 100u);
-    EXPECT_EQ(v->samples.size(), 3u);
+    for (double p : grid)
+        EXPECT_EQ(v->percentile(p), h1.percentile(p)) << "p=" << p;
+
+    snap.merge(r2.snapshot());
+    Histogram live = h1;
+    live.merge(h2);
+    v = snap.find("rig.lat");
+    EXPECT_EQ(v->count, live.count());
+    EXPECT_EQ(v->min, live.min());
+    EXPECT_EQ(v->max, live.max());
+    for (double p : grid)
+        EXPECT_EQ(v->percentile(p), live.percentile(p)) << "p=" << p;
 }
 
 TEST(MetricsSnapshot, MergeKindMismatchPanics)
@@ -191,17 +206,17 @@ TEST(MetricsSnapshot, SweepWorkerMergeIsDeterministic)
         MetricsSnapshot acc;
         for (int w = 0; w < 4; ++w) {
             Counter c("c");
-            Distribution d("d", 32);
+            Histogram lat("lat");
             Histogram h("h");
             c.add(static_cast<std::uint64_t>(10 + w));
             Rng rng(500 + static_cast<std::uint64_t>(w));
             for (int i = 0; i < 200; ++i) {
-                d.sample(rng.nextBelow(100000));
+                lat.record(rng.nextBelow(100000));
                 h.record(rng.nextBelow(100000));
             }
             MetricRegistry reg;
             reg.addCounter("rig.ops", c);
-            reg.addDistribution("rig.lat", d);
+            reg.addHistogram("rig.lat", lat);
             reg.addHistogram("rig.hist", h);
             reg.addGauge("rig.free", [&] { return double(w); });
             acc.merge(reg.snapshot());
@@ -288,18 +303,18 @@ TEST(MetricsSnapshot, WriteJsonShape)
 {
     Counter c("c");
     c.add(3);
-    Distribution d("d", 16);
-    d.sample(5);
+    Histogram h("h");
+    h.record(5);
     MetricRegistry reg;
     reg.addCounter("a.ops", c);
-    reg.addDistribution("a.lat", d);
+    reg.addHistogram("a.lat", h);
 
     std::ostringstream os;
     reg.writeJson(os);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"a.ops\""), std::string::npos);
     EXPECT_NE(json.find("\"type\": \"counter\""), std::string::npos);
-    EXPECT_NE(json.find("\"type\": \"dist\""), std::string::npos);
+    EXPECT_NE(json.find("\"type\": \"hist\""), std::string::npos);
     // Deterministic output: same registry, same bytes.
     std::ostringstream os2;
     reg.writeJson(os2);

@@ -1,11 +1,15 @@
 /**
  * @file
- * Unit tests for counters, distributions and the log-linear histogram.
+ * Unit tests for counters and the log-linear histogram.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -21,116 +25,6 @@ TEST(Counter, Accumulates)
     EXPECT_EQ(c.value(), 10u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Distribution, ExactStatsSmall)
-{
-    Distribution d("lat");
-    for (std::uint64_t v : {5u, 1u, 9u, 3u})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_EQ(d.sum(), 18u);
-    EXPECT_EQ(d.min(), 1u);
-    EXPECT_EQ(d.max(), 9u);
-    EXPECT_DOUBLE_EQ(d.mean(), 4.5);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.min(), 0u);
-    EXPECT_EQ(d.max(), 0u);
-    EXPECT_EQ(d.percentile(50), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-}
-
-TEST(Distribution, SingleSamplePercentiles)
-{
-    Distribution d;
-    d.sample(37);
-    EXPECT_EQ(d.percentile(0), 37u);
-    EXPECT_EQ(d.percentile(50), 37u);
-    EXPECT_EQ(d.percentile(100), 37u);
-}
-
-TEST(Distribution, OutOfRangePercentilesClamp)
-{
-    Distribution d;
-    for (std::uint64_t v = 1; v <= 100; ++v)
-        d.sample(v);
-    EXPECT_EQ(d.percentile(-5), 1u);
-    EXPECT_EQ(d.percentile(250), 100u);
-}
-
-TEST(Distribution, PercentilesOnUniformRamp)
-{
-    Distribution d("ramp", 1 << 16);
-    for (std::uint64_t v = 0; v < 10000; ++v)
-        d.sample(v);
-    EXPECT_EQ(d.percentile(0), 0u);
-    EXPECT_EQ(d.percentile(100), 9999u);
-    EXPECT_NEAR(static_cast<double>(d.percentile(50)), 5000.0, 50.0);
-    EXPECT_NEAR(static_cast<double>(d.percentile(99)), 9900.0, 50.0);
-}
-
-TEST(Distribution, ReservoirKeepsPercentilesApproximate)
-{
-    // More samples than reservoir slots: percentiles stay close.
-    Distribution d("big", 4096);
-    for (std::uint64_t v = 0; v < 200000; ++v)
-        d.sample(v % 1000);
-    EXPECT_NEAR(static_cast<double>(d.percentile(50)), 500.0, 60.0);
-    EXPECT_EQ(d.min(), 0u);
-    EXPECT_EQ(d.max(), 999u);
-    EXPECT_EQ(d.count(), 200000u);
-}
-
-TEST(Distribution, DeterministicUnderFixedSeed)
-{
-    // Two distributions fed the same stream must agree exactly: the
-    // reservoir RNG is seeded from the reservoir size, not from any
-    // global state.
-    Distribution a("a", 512), b("b", 512);
-    Rng feed(1234);
-    std::vector<std::uint64_t> stream;
-    for (int i = 0; i < 50000; ++i)
-        stream.push_back(feed.nextBelow(1'000'000));
-    for (std::uint64_t v : stream)
-        a.sample(v);
-    for (std::uint64_t v : stream)
-        b.sample(v);
-    for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0})
-        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p=" << p;
-}
-
-TEST(Distribution, CachedSortSurvivesNonDisplacingSamples)
-{
-    // Interleaved sample()/percentile() on a full reservoir must stay
-    // correct (the cache may only be reused while the reservoir is
-    // untouched).
-    Distribution d("cache", 64);
-    for (std::uint64_t v = 0; v < 64; ++v)
-        d.sample(v);
-    std::uint64_t p50 = d.percentile(50);
-    for (std::uint64_t v = 0; v < 10000; ++v) {
-        d.sample(500 + (v % 100));
-        // Recompute every round; any stale cache shows up as a
-        // non-monotonic or out-of-range answer.
-        std::uint64_t p = d.percentile(50);
-        EXPECT_GE(p, d.min());
-        EXPECT_LE(p, d.max());
-    }
-    EXPECT_GE(d.percentile(50), p50);
-}
-
-TEST(Distribution, ResetClears)
-{
-    Distribution d;
-    d.sample(5);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.percentile(50), 0u);
 }
 
 TEST(Histogram, EmptyIsZero)
@@ -195,26 +89,47 @@ TEST(Histogram, RelativeErrorBound)
     }
 }
 
-TEST(Histogram, AgreesWithDistributionWithinBound)
+TEST(Histogram, AgreesWithExactNearestRankWithinBound)
 {
-    // The histogram mode must reproduce the reservoir distribution's
-    // percentiles within the documented quantization error (both see
-    // the full stream here, so sampling error is out of the picture).
-    Distribution d("ref", 1 << 16);
-    Histogram h("hist");
+    // The exact oracle is the sorted stream itself, read at the same
+    // nearest rank percentile() uses (llround(p/100 * (n-1))): every
+    // percentile, the extreme tail included, must sit within the
+    // documented relative error of the true sample.
     Rng rng(4242);
-    for (int i = 0; i < 50000; ++i) {
-        std::uint64_t v = 100 + rng.nextBelow(1'000'000);
-        d.sample(v);
-        h.record(v);
-    }
-    for (double p : {5.0, 50.0, 95.0, 99.0}) {
-        double ref = static_cast<double>(d.percentile(p));
-        double est = static_cast<double>(h.percentile(p));
-        // Documented bound plus a little slack for the reservoir's own
-        // nearest-rank rounding.
-        EXPECT_NEAR(est, ref, ref * (Histogram::kRelativeError + 0.01))
-            << "p=" << p;
+    const std::vector<std::pair<const char *,
+                                std::function<std::uint64_t()>>>
+        streams{
+            {"uniform", [&] { return 100 + rng.nextBelow(1'000'000); }},
+            // Pareto (alpha 1.2, scale 10 us): a long tail spanning
+            // several decades above the scale.
+            {"heavy-tailed",
+             [&] {
+                 return static_cast<std::uint64_t>(
+                     10'000.0 / std::pow(1.0 - rng.nextDouble(), 1 / 1.2));
+             }},
+            // 95% fast path near 8 us, 5% slow path near 4 ms.
+            {"bimodal", [&] {
+                 return rng.nextBelow(100) < 95
+                     ? 7'000 + rng.nextBelow(2'000)
+                     : 3'500'000 + rng.nextBelow(1'000'000);
+             }}};
+    for (const auto &[name, draw] : streams) {
+        Histogram h(name);
+        std::vector<std::uint64_t> sorted;
+        for (int i = 0; i < 100000; ++i) {
+            sorted.push_back(draw());
+            h.record(sorted.back());
+        }
+        std::sort(sorted.begin(), sorted.end());
+        for (double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 99.99, 100.0}) {
+            const auto rank = static_cast<std::size_t>(std::llround(
+                p / 100.0 * static_cast<double>(sorted.size() - 1)));
+            const double exact = static_cast<double>(sorted[rank]);
+            const double est = static_cast<double>(h.percentile(p));
+            EXPECT_LE(std::abs(est - exact),
+                      exact * Histogram::kRelativeError)
+                << name << " p=" << p << " exact=" << exact;
+        }
     }
 }
 
@@ -228,6 +143,9 @@ TEST(Histogram, PercentileEdges)
     h.record(4000);
     EXPECT_EQ(h.percentile(0), 1000u);
     EXPECT_EQ(h.percentile(100), 4000u);
+    // Out-of-range p clamps to the exact min / max.
+    EXPECT_EQ(h.percentile(-5), 1000u);
+    EXPECT_EQ(h.percentile(250), 4000u);
 }
 
 TEST(Histogram, MergeMatchesCombinedStream)
@@ -246,6 +164,22 @@ TEST(Histogram, MergeMatchesCombinedStream)
     EXPECT_EQ(a.max(), all.max());
     for (double p : {10.0, 50.0, 99.0})
         EXPECT_EQ(a.percentile(p), all.percentile(p)) << "p=" << p;
+}
+
+TEST(Histogram, MergeWithEmptyKeepsMinMax)
+{
+    // An empty side carries the min/max sentinels; merging it either
+    // way round must not leak them into the result.
+    Histogram a("a"), empty("e");
+    a.record(5);
+    a.merge(empty);
+    EXPECT_EQ(a.count(), 1u);
+    EXPECT_EQ(a.min(), 5u);
+    EXPECT_EQ(a.max(), 5u);
+    empty.merge(a);
+    EXPECT_EQ(empty.min(), 5u);
+    EXPECT_EQ(empty.max(), 5u);
+    EXPECT_EQ(empty.percentile(50), 5u);
 }
 
 TEST(Histogram, ResetClears)
@@ -268,46 +202,6 @@ TEST(Histogram, HugeValuesDoNotOverflowIndex)
     EXPECT_EQ(h.max(), ~std::uint64_t(0));
     EXPECT_EQ(h.percentile(0), 0u);
     EXPECT_EQ(h.percentile(100), ~std::uint64_t(0));
-}
-
-TEST(Distribution, CacheInvalidatedByReservoirDisplacement)
-{
-    // A tiny reservoir so displacements are frequent: once the cached
-    // sorted view is built, a displacing sample() must invalidate it -
-    // a stale cache would keep answering from the old contents.
-    Distribution d("displace", 4);
-    for (int i = 0; i < 4; ++i)
-        d.sample(10);
-    EXPECT_EQ(d.percentile(50), 10u); // builds the cache
-
-    // Pump large samples; reservoir sampling displaces old entries
-    // with probability cap/count each round. Recheck the percentile
-    // every round so a missed invalidation answers from the stale
-    // all-10s sorted view.
-    bool moved = false;
-    for (int i = 0; i < 2000 && !moved; ++i) {
-        d.sample(1000000);
-        moved = d.percentile(90) == 1000000u;
-    }
-    EXPECT_TRUE(moved)
-        << "2000 displacing samples never surfaced in percentile()";
-    EXPECT_EQ(d.max(), 1000000u);
-}
-
-TEST(Distribution, PercentileIsMonotoneInP)
-{
-    Distribution d("mono", 256);
-    Rng rng(31);
-    for (int i = 0; i < 5000; ++i)
-        d.sample(rng.nextBelow(1ull << 40));
-    std::uint64_t prev = 0;
-    for (double p = 0; p <= 100.0; p += 0.5) {
-        std::uint64_t v = d.percentile(p);
-        EXPECT_GE(v, prev) << "p=" << p;
-        prev = v;
-    }
-    EXPECT_EQ(d.percentile(0), d.min());
-    EXPECT_EQ(d.percentile(100), d.max());
 }
 
 TEST(Histogram, PercentileIsMonotoneInP)
@@ -352,113 +246,6 @@ TEST(Histogram, MergePreservesPercentileMonotonicity)
     EXPECT_GT(low.percentile(75), 1000000u);
 }
 
-TEST(Distribution, ResetInvalidatesCachedPercentiles)
-{
-    // Regression: percentile() caches the sorted reservoir; reset()
-    // must invalidate it, or the first percentile query after a reset
-    // answers from the dead run's samples.
-    Distribution d("cache", 64);
-    for (std::uint64_t v = 1000; v < 1064; ++v)
-        d.sample(v);
-    EXPECT_GE(d.percentile(50), 1000u); // populate the cache
-    d.reset();
-    EXPECT_EQ(d.percentile(50), 0u);
-    for (std::uint64_t v = 1; v <= 10; ++v)
-        d.sample(v);
-    EXPECT_LE(d.percentile(99), 10u);
-    EXPECT_GE(d.percentile(50), 1u);
-}
-
-TEST(Distribution, ResetZeroesMinMax)
-{
-    Distribution d("mm", 16);
-    d.sample(7);
-    d.sample(123456);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.sum(), 0u);
-    EXPECT_EQ(d.min(), 0u);
-    EXPECT_EQ(d.max(), 0u);
-    // The sentinels must also re-arm: the next sample is both min and
-    // max again.
-    d.sample(42);
-    EXPECT_EQ(d.min(), 42u);
-    EXPECT_EQ(d.max(), 42u);
-}
-
-TEST(Distribution, ResetReplaysFreshRngStream)
-{
-    // A reset instance must replay the exact reservoir slot choices of
-    // a freshly constructed one, or reset-and-rerun sweeps lose their
-    // bit-identical guarantee.
-    Distribution fresh("fresh", 32), reused("reused", 32);
-    Rng warm(77);
-    for (int i = 0; i < 5000; ++i)
-        reused.sample(warm.next());
-    reused.reset();
-
-    Rng a(7), b(7);
-    for (int i = 0; i < 5000; ++i) {
-        fresh.sample(a.next());
-        reused.sample(b.next());
-    }
-    EXPECT_EQ(fresh.samples(), reused.samples());
-    for (double p : {1.0, 50.0, 99.0})
-        EXPECT_EQ(fresh.percentile(p), reused.percentile(p));
-}
-
-TEST(Distribution, MergeAddsExactStats)
-{
-    Distribution a("a", 128), b("b", 128);
-    for (std::uint64_t v : {10u, 20u, 30u})
-        a.sample(v);
-    for (std::uint64_t v : {1u, 100u})
-        b.sample(v);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 5u);
-    EXPECT_EQ(a.sum(), 161u);
-    EXPECT_EQ(a.min(), 1u);
-    EXPECT_EQ(a.max(), 100u);
-    // Small enough to fit the reservoir: percentiles are exact.
-    EXPECT_EQ(a.percentile(0), 1u);
-    EXPECT_EQ(a.percentile(100), 100u);
-}
-
-TEST(Distribution, MergeWithEmptyKeepsMinMax)
-{
-    Distribution a("a", 16), empty("e", 16);
-    a.sample(5);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_EQ(a.min(), 5u);
-    EXPECT_EQ(a.max(), 5u);
-}
-
-TEST(Distribution, MergeIsDeterministicForFixedOrder)
-{
-    // The sweep coordinator merges worker snapshots in job order; the
-    // same inputs merged in the same order must agree bit for bit.
-    auto build = [] {
-        std::vector<Distribution> parts;
-        for (int w = 0; w < 4; ++w) {
-            parts.emplace_back("w" + std::to_string(w), 64);
-            Rng rng(100 + static_cast<std::uint64_t>(w));
-            for (int i = 0; i < 1000; ++i)
-                parts.back().sample(rng.next());
-        }
-        Distribution merged("m", 64);
-        for (const auto &p : parts)
-            merged.merge(p);
-        return merged;
-    };
-    Distribution m1 = build(), m2 = build();
-    EXPECT_EQ(m1.samples(), m2.samples());
-    EXPECT_EQ(m1.count(), m2.count());
-    EXPECT_EQ(m1.sum(), m2.sum());
-    for (double p = 0; p <= 100.0; p += 5.0)
-        EXPECT_EQ(m1.percentile(p), m2.percentile(p));
-}
-
 TEST(Histogram, ResetZeroesMinMaxAndBuckets)
 {
     Histogram h("hm");
@@ -469,8 +256,8 @@ TEST(Histogram, ResetZeroesMinMaxAndBuckets)
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
     EXPECT_EQ(h.percentile(50), 0u);
-    for (unsigned i = 0; i < Histogram::bucketCount(); ++i)
-        EXPECT_EQ(h.bucketAt(i), 0u) << "bucket " << i;
+    for (std::uint64_t n : h.buckets())
+        EXPECT_EQ(n, 0u);
     h.record(17);
     EXPECT_EQ(h.min(), 17u);
     EXPECT_EQ(h.max(), 17u);
