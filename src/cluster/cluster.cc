@@ -1,6 +1,7 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <memory>
 #include <optional>
@@ -11,8 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "db/bytes.hh"
 #include "db/minipg/minipg.hh"
 #include "db/miniredis/miniredis.hh"
+#include "db/page_allocator.hh"
 #include "rigs/rig.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -49,14 +52,31 @@ fillValue(std::vector<std::uint8_t> &out, std::uint64_t key,
         out[i] = valueByte(key, i);
 }
 
-/** Redis key text for a router key. */
-std::string
-redisKey(std::uint64_t key)
+/** Set @p out to the redis key text ("k<id>") of router key @p id;
+ *  short texts stay in @p out's inline buffer, so this allocates
+ *  nothing. */
+void
+formatRedisKey(std::string &out, std::uint64_t id)
 {
-    return "k" + std::to_string(key);
+    char buf[24] = {'k'};
+    const auto r = std::to_chars(buf + 1, buf + sizeof(buf), id);
+    out.assign(buf, r.ptr);
 }
 
-/** The router key a redisKey() text names; nullopt for other text. */
+/**
+ * How many ops ahead of the executing one the shard exec prefetches a
+ * redis key's entry; its index slot is prefetched twice as far ahead,
+ * so the slot has landed by the time the entry prefetch reads it.
+ */
+constexpr std::size_t kPrefetchDistance = 8;
+
+/** Staged keys a shard keeps: op j's key is staged 2D ops before it
+ *  runs and held until it has run, so 4D slots (a power of two) give
+ *  every op in flight its own. */
+constexpr std::size_t kKeyRing = 4 * kPrefetchDistance;
+
+/** The router key a formatRedisKey() text names; nullopt for other
+ *  text. */
 std::optional<std::uint64_t>
 routerKeyOf(std::string_view key)
 {
@@ -125,6 +145,10 @@ struct Cluster::Shard
     sim::Tick clock = 0;
     /** SET value scratch, refilled per op (capacity reused). */
     std::vector<std::uint8_t> value;
+    /** Redis key text and store hash of the batch's staged ops, op j
+     *  in slot j % kKeyRing. */
+    std::array<std::string, kKeyRing> keyText;
+    std::array<std::uint32_t, kKeyRing> keyHash{};
 
     std::uint64_t
     contentHash() const
@@ -282,10 +306,43 @@ Cluster::makeExec()
     return [this](unsigned s, sim::Tick start,
                   const std::vector<host::RouterOp> &ops,
                   std::vector<sim::Tick> &opDone) {
+        using db::miniredis::MiniRedis;
         Shard &sh = *shards_[s];
+        MiniRedis *const redis = sh.redis.get();
+        const std::size_t n = ops.size();
         sim::Tick t = std::max(start, sh.clock);
-        opDone.reserve(ops.size());
-        for (const host::RouterOp &op : ops) {
+        opDone.reserve(n);
+
+        // A redis batch is software-pipelined: op j's key is formatted
+        // and hashed once, and its index slot prefetched, 2D ops before
+        // it runs; its entry is prefetched D ops before. Ops still run
+        // one at a time in batch order.
+        constexpr std::size_t D = kPrefetchDistance;
+        auto key = [&](std::size_t j) {
+            j %= kKeyRing;
+            return MiniRedis::Key{sh.keyText[j], sh.keyHash[j]};
+        };
+        auto stage = [&](std::size_t j) {
+            std::string &text = sh.keyText[j % kKeyRing];
+            formatRedisKey(text, ops[j].key);
+            sh.keyHash[j % kKeyRing] = MiniRedis::keyOf(text).hash;
+            redis->prefetchSlot(key(j));
+        };
+        if (redis) {
+            for (std::size_t j = 0; j < std::min(2 * D, n); ++j)
+                stage(j);
+            for (std::size_t j = 0; j < std::min(D, n); ++j)
+                redis->prefetchEntry(key(j));
+        }
+
+        for (std::size_t i = 0; i < n; ++i) {
+            const host::RouterOp &op = ops[i];
+            if (redis) {
+                if (i + 2 * D < n)
+                    stage(i + 2 * D);
+                if (i + D < n)
+                    redis->prefetchEntry(key(i + D));
+            }
             // Scope the op's request identity around its execution:
             // the exec span adopts the trace and cross-links to the
             // op's (future) root span in the host tracer, and every
@@ -296,13 +353,12 @@ Cluster::makeExec()
                     sim::TraceContext{op.trace, op.gid});
                 execSpan = sh.tracer.beginSpan("shard", "exec", t);
             }
-            if (sh.redis) {
-                const std::string key = redisKey(op.key);
+            if (redis) {
                 if (op.kind == host::RouterOp::Kind::set) {
                     fillValue(sh.value, op.key, op.valueBytes);
-                    t = sh.redis->set(t, key, sh.value);
+                    t = redis->set(t, key(i), sh.value);
                 } else {
-                    t = sh.redis->get(t, key);
+                    t = redis->get(t, key(i));
                 }
             } else {
                 // addNode upserts (XLOG replay assigns), so SET maps
@@ -563,8 +619,9 @@ Cluster::runStep(std::size_t step)
         Shard &sh = *shards_[mr.from];
         sim::Domain &dom = sh.rig.domain();
         sim::Tick t = std::max(sh.clock, dom.now());
-        auto moved = std::make_shared<std::vector<
-            std::pair<std::uint64_t, std::vector<std::uint8_t>>>>();
+        using Moved = std::pair<std::uint64_t, db::Bytes>;
+        auto moved = std::make_shared<
+            std::vector<Moved, db::PageAllocator<Moved>>>();
         auto moving = [&](std::uint64_t id) {
             const std::uint64_t p = map_.point(id);
             return p >= mr.begin && p < mr.end;
@@ -587,23 +644,20 @@ Cluster::runStep(std::size_t step)
                       [](const auto &a, const auto &b) {
                           return *a.first < *b.first;
                       });
-            for (const auto &[key, value] : hits) {
-                moved->emplace_back(
-                    *routerKeyOf(*key),
-                    std::vector<std::uint8_t>(value.begin(),
-                                              value.end()));
+            moved->reserve(hits.size());
+            for (const auto &[key, value] : hits)
+                moved->emplace_back(*routerKeyOf(*key), value);
+            std::string key;
+            for (const auto &kv : *moved) {
+                formatRedisKey(key, kv.first);
+                t = sh.redis->get(t, key);
             }
-            for (const auto &kv : *moved)
-                t = sh.redis->get(t, redisKey(kv.first));
         } else {
             sh.pg->forEachNodeUnordered(
                 [&](std::uint64_t id,
                     std::span<const std::uint8_t> payload) {
-                    if (moving(id)) {
-                        moved->emplace_back(
-                            id, std::vector<std::uint8_t>(
-                                    payload.begin(), payload.end()));
-                    }
+                    if (moving(id))
+                        moved->emplace_back(id, payload);
                 });
             std::sort(moved->begin(), moved->end(),
                       [](const auto &a, const auto &b) {
@@ -628,11 +682,14 @@ Cluster::runStep(std::size_t step)
                 Shard &dst = *shards_[mr.to];
                 sim::Domain &ddom = dst.rig.domain();
                 sim::Tick t = std::max(dst.clock, ddom.now());
+                std::string key;
                 for (const auto &[id, value] : *moved) {
-                    if (dst.redis)
-                        t = dst.redis->set(t, redisKey(id), value);
-                    else
-                        t = dst.pg->addNode(t, id, value);
+                    if (dst.redis) {
+                        formatRedisKey(key, id);
+                        t = dst.redis->set(t, key, value.span());
+                    } else {
+                        t = dst.pg->addNode(t, id, value.span());
+                    }
                 }
                 dst.clock = t;
                 const sim::Tick back2 =
@@ -651,10 +708,11 @@ Cluster::runStep(std::size_t step)
                         sim::Domain &vdom = vic.rig.domain();
                         sim::Tick t =
                             std::max(vic.clock, vdom.now());
+                        std::string key;
                         for (const auto &kv : *moved) {
                             if (vic.redis) {
-                                t = vic.redis->del(
-                                    t, redisKey(kv.first));
+                                formatRedisKey(key, kv.first);
+                                t = vic.redis->del(t, key);
                             } else {
                                 t = vic.pg->deleteNode(t, kv.first);
                             }
@@ -866,7 +924,9 @@ Cluster::plantEntry(unsigned shard, std::uint64_t key,
 {
     Shard &sh = *shards_.at(shard);
     const sim::Tick t = std::max(sh.clock, sh.rig.domain().now());
-    sh.clock = sh.redis ? sh.redis->set(t, redisKey(key), value)
+    std::string text;
+    formatRedisKey(text, key);
+    sh.clock = sh.redis ? sh.redis->set(t, text, value)
                         : sh.pg->addNode(t, key, value);
 }
 

@@ -87,38 +87,35 @@ MiniRedis::maybeRewriteAof(sim::Tick now)
 }
 
 sim::Tick
-MiniRedis::set(sim::Tick now, const std::string &key,
+MiniRedis::set(sim::Tick now, const Key &key,
                std::span<const std::uint8_t> value)
 {
     commands_.add();
-    now = cpu(now, key.size() + value.size());
-    encode(cmdSet, key, value);
-    apply(cmd_);
+    now = cpu(now, key.key.size() + value.size());
+    encode(cmdSet, key.key, value);
+    ledger_.put(key, value);
     return logCommand(now);
 }
 
 sim::Tick
-MiniRedis::del(sim::Tick now, const std::string &key)
+MiniRedis::del(sim::Tick now, const Key &key)
 {
     commands_.add();
-    now = cpu(now, key.size());
-    encode(cmdDel, key, {});
-    apply(cmd_);
+    now = cpu(now, key.key.size());
+    encode(cmdDel, key.key, {});
+    ledger_.erase(key);
     return logCommand(now);
 }
 
 sim::Tick
-MiniRedis::incr(sim::Tick now, const std::string &key,
-                std::int64_t *result)
+MiniRedis::incr(sim::Tick now, const Key &key, std::int64_t *result)
 {
     commands_.add();
     std::int64_t v = 0;
     if (auto it = store_.find(key); it != store_.end()) {
-        const auto &raw = it->second;
-        std::from_chars(reinterpret_cast<const char *>(raw.data()),
-                        reinterpret_cast<const char *>(raw.data()) +
-                            raw.size(),
-                        v);
+        const Bytes &raw = it->second;
+        std::from_chars(reinterpret_cast<const char *>(raw.begin()),
+                        reinterpret_cast<const char *>(raw.end()), v);
     }
     ++v;
     char buf[24];
@@ -128,24 +125,25 @@ MiniRedis::incr(sim::Tick now, const std::string &key,
         static_cast<std::size_t>(res.ptr - buf));
     if (result)
         *result = v;
-    now = cpu(now, key.size() + text.size());
-    encode(cmdSet, key, text);
-    apply(cmd_);
+    now = cpu(now, key.key.size() + text.size());
+    encode(cmdSet, key.key, text);
+    ledger_.put(key, text);
     return logCommand(now);
 }
 
 sim::Tick
-MiniRedis::get(sim::Tick now, const std::string &key,
+MiniRedis::get(sim::Tick now, const Key &key,
                std::optional<std::vector<std::uint8_t>> *out) const
 {
-    std::size_t bytes = key.size();
+    std::size_t bytes = key.key.size();
     auto it = store_.find(key);
     if (it != store_.end())
         bytes += it->second.size();
     if (out) {
         *out = it == store_.end()
             ? std::optional<std::vector<std::uint8_t>>()
-            : std::optional<std::vector<std::uint8_t>>(it->second);
+            : std::optional<std::vector<std::uint8_t>>(
+                  std::in_place, it->second.begin(), it->second.end());
     }
     return cpu(now, bytes);
 }

@@ -15,6 +15,15 @@
  * the live dataset when the region fills. The snapshot is kept as a
  * journal of pre-images since the rewrite (db::StoreLedger), not as a
  * copy of the dataset.
+ *
+ * The dataset is a db::FlatMap of key text to db::Bytes, so a value of
+ * up to 64 B sits in the same entry as its key. Every command has a
+ * form that takes a Key: the key text with its store hash, computed
+ * once by the caller (keyOf). A caller serving a batch hashes each
+ * key once and prefetches its index slot and then its entry
+ * (prefetchSlot, prefetchEntry) a few commands ahead; the string
+ * forms hash and forward. Both give the same AOF bytes, contents and
+ * simulated times.
  */
 
 #ifndef BSSD_DB_MINIREDIS_MINIREDIS_HH
@@ -26,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "db/bytes.hh"
 #include "db/flat_map.hh"
 #include "db/store_ledger.hh"
 #include "sim/stats.hh"
@@ -50,23 +60,63 @@ struct RedisConfig
 class MiniRedis
 {
   public:
+    /** The dataset: key text -> value bytes. */
+    using Store = FlatMap<std::string, Bytes>;
+    /** A key's text with its store hash; see keyOf(). */
+    using Key = Store::Hashed;
+
     MiniRedis(wal::LogDevice &aof, const RedisConfig &cfg = {});
 
+    /** @p text with its store hash. @p text must outlive the Key. */
+    static Key keyOf(const std::string &text) { return Store::hashed(text); }
+
     /** SET key value. @return completion (durable) time. */
-    sim::Tick set(sim::Tick now, const std::string &key,
+    sim::Tick set(sim::Tick now, const Key &key,
                   std::span<const std::uint8_t> value);
+    sim::Tick
+    set(sim::Tick now, const std::string &key,
+        std::span<const std::uint8_t> value)
+    {
+        return set(now, keyOf(key), value);
+    }
 
     /** DEL key. */
-    sim::Tick del(sim::Tick now, const std::string &key);
+    sim::Tick del(sim::Tick now, const Key &key);
+    sim::Tick
+    del(sim::Tick now, const std::string &key)
+    {
+        return del(now, keyOf(key));
+    }
 
     /** INCR key (numeric string value). */
-    sim::Tick incr(sim::Tick now, const std::string &key,
+    sim::Tick incr(sim::Tick now, const Key &key,
                    std::int64_t *result = nullptr);
+    sim::Tick
+    incr(sim::Tick now, const std::string &key,
+         std::int64_t *result = nullptr)
+    {
+        return incr(now, keyOf(key), result);
+    }
 
     /** GET key. */
-    sim::Tick get(sim::Tick now, const std::string &key,
+    sim::Tick get(sim::Tick now, const Key &key,
                   std::optional<std::vector<std::uint8_t>> *out = nullptr)
         const;
+    sim::Tick
+    get(sim::Tick now, const std::string &key,
+        std::optional<std::vector<std::uint8_t>> *out = nullptr) const
+    {
+        return get(now, keyOf(key), out);
+    }
+
+    /** Start loading @p key's index slot; then, some commands later,
+     *  its entry (prefetchEntry). Hints only: no effect on results. */
+    void prefetchSlot(const Key &key) const { store_.prefetchSlot(key.hash); }
+    void
+    prefetchEntry(const Key &key) const
+    {
+        store_.prefetchEntry(key.hash);
+    }
 
     /** Replay the durable AOF after a crash. */
     void recover();
@@ -102,7 +152,7 @@ class MiniRedis
     forEachUnordered(Fn &&fn) const
     {
         for (const auto &[key, value] : store_)
-            fn(key, std::span<const std::uint8_t>(value));
+            fn(key, value.span());
     }
 
     /** AOF pre-images held for recovery since the last rewrite. */
@@ -116,7 +166,7 @@ class MiniRedis
     // is a pre-image journal (ledger_), recovery replays AOF records
     // in append order, and the only walk is forEachUnordered()
     // (DESIGN.md section 11).
-    FlatMap<std::string, std::vector<std::uint8_t>> store_;
+    Store store_;
     /** Content digest + pre-images since the last AOF rewrite. */
     StoreLedger<decltype(store_)> ledger_{store_};
     std::uint64_t seq_ = 0;
@@ -125,7 +175,7 @@ class MiniRedis
 
     /** Per-command scratch, reused so a command allocates nothing:
      *  the encoded AOF command, its framed record, and the key text
-     *  apply() decodes. */
+     *  apply() decodes during recover(). */
     std::vector<std::uint8_t> cmd_;
     std::vector<std::uint8_t> frame_;
     std::string key_;

@@ -33,6 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "db/page_allocator.hh"
+
 namespace bssd::db
 {
 
@@ -140,7 +142,8 @@ entryHash(std::uint64_t key, std::span<const std::uint8_t> value)
 
 /**
  * Digest and pre-image journal of one keyed map of byte values
- * (std::map or db::FlatMap). The ledger does not own the map:
+ * (std::map or db::FlatMap, with std::vector<std::uint8_t> or
+ * db::Bytes values). The ledger does not own the map:
  * the store declares it (so its ordering is visible where it lives)
  * and routes every mutation through put()/erase() so the digest and
  * journal stay in step. The ledger never iterates the map.
@@ -153,40 +156,43 @@ class StoreLedger
 {
   public:
     using Key = typename Map::key_type;
-    using Value = std::vector<std::uint8_t>;
+    using Value = typename Map::mapped_type;
 
     explicit StoreLedger(Map &map) : map_(map) {}
 
     StoreLedger(const StoreLedger &) = delete;
     StoreLedger &operator=(const StoreLedger &) = delete;
 
-    /** map[key] = value. */
+    /** map[key] = value. @p key is a Key, or anything else the map's
+     *  try_emplace/find take (a FlatMap::Hashed). */
+    template <class Lookup>
     void
-    put(const Key &key, std::span<const std::uint8_t> value)
+    put(const Lookup &key, std::span<const std::uint8_t> value)
     {
         auto [it, inserted] = map_.try_emplace(key);
         if (inserted) {
             if (journaling_)
-                journal_.emplace_back(key, std::nullopt);
+                journal_.emplace_back(it->first, std::nullopt);
         } else {
-            digest_ -= entryHash(key, it->second);
+            digest_ -= entryHash(it->first, it->second);
             if (journaling_)
-                journal_.emplace_back(key, std::move(it->second));
+                journal_.emplace_back(it->first, std::move(it->second));
         }
         it->second.assign(value.begin(), value.end());
-        digest_ += entryHash(key, it->second);
+        digest_ += entryHash(it->first, it->second);
     }
 
-    /** Remove @p key if present. */
+    /** Remove @p key if present (a Key or a lookup, as for put()). */
+    template <class Lookup>
     void
-    erase(const Key &key)
+    erase(const Lookup &key)
     {
         auto it = map_.find(key);
         if (it == map_.end())
             return;
-        digest_ -= entryHash(key, it->second);
+        digest_ -= entryHash(it->first, it->second);
         if (journaling_)
-            journal_.emplace_back(key, std::move(it->second));
+            journal_.emplace_back(it->first, std::move(it->second));
         map_.erase(it);
     }
 
@@ -233,7 +239,10 @@ class StoreLedger
     Map &map_;
     std::uint64_t digest_ = 0;
     bool journaling_ = false;
-    std::vector<std::pair<Key, std::optional<Value>>> journal_;
+    /** Grows large on engine worker threads, hence PageAllocator. */
+    std::vector<std::pair<Key, std::optional<Value>>,
+                PageAllocator<std::pair<Key, std::optional<Value>>>>
+        journal_;
 };
 
 } // namespace bssd::db

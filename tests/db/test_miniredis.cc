@@ -1,15 +1,19 @@
 /**
  * @file
- * Tests for miniredis: command semantics, AOF replay, AOF rewrite.
+ * Tests for miniredis: command semantics, AOF replay, AOF rewrite,
+ * and the hashed, prefetched command path against the string API.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ba/two_b_ssd.hh"
 #include "db/miniredis/miniredis.hh"
+#include "sim/rng.hh"
 #include "ssd/ssd_device.hh"
 #include "wal/ba_wal.hh"
 #include "wal/block_wal.hh"
@@ -137,4 +141,165 @@ TEST(MiniRedis, CommandCostIncludesDurability)
     // Reads skip the log entirely: command CPU only.
     EXPECT_LT(t2 - t1, sim::usOf(35));
     EXPECT_LT(2 * (t2 - t1), t1 - t0);
+}
+
+namespace
+{
+
+/** One store on its own device and AOF (region small enough that the
+ *  stream below forces several rewrites). */
+struct RedisRig
+{
+    ssd::SsdDevice dev{ssd::SsdConfig::tiny()};
+    wal::BlockWal aof{dev, [] {
+                          wal::BlockWalConfig c;
+                          c.regionBytes = 64 * sim::KiB;
+                          return c;
+                      }()};
+    MiniRedis r{aof};
+};
+
+struct Op
+{
+    enum Kind { set, del, incr, get } kind;
+    std::string key;
+    std::vector<std::uint8_t> value;
+};
+
+std::vector<Op>
+randomOps(sim::Rng &rng, int n)
+{
+    const std::size_t sizes[] = {0, 1, 63, 64, 65, 1024};
+    std::vector<Op> ops;
+    for (int i = 0; i < n; ++i) {
+        Op op;
+        const std::uint64_t id = rng.nextBelow(160);
+        op.key = id % 4 == 0 ? "a-key-past-the-inline-string-" +
+                                   std::to_string(id)
+                             : "k" + std::to_string(id);
+        const double roll = rng.nextDouble();
+        op.kind = roll < 0.45   ? Op::set
+                  : roll < 0.60 ? Op::del
+                  : roll < 0.75 ? Op::incr
+                                : Op::get;
+        if (op.kind == Op::set) {
+            op.value.resize(sizes[rng.nextBelow(6)]);
+            for (auto &b : op.value)
+                b = static_cast<std::uint8_t>(rng.next());
+        }
+        ops.push_back(std::move(op));
+    }
+    return ops;
+}
+
+/** Every (key, value) of @p r, sorted. */
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+contents(const MiniRedis &r)
+{
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> out;
+    r.forEachUnordered([&](const std::string &k,
+                           std::span<const std::uint8_t> v) {
+        out.emplace_back(k, std::vector<std::uint8_t>(v.begin(), v.end()));
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** Run @p ops through the string API one command at a time. */
+void
+runPlain(MiniRedis &r, sim::Tick &t, const std::vector<Op> &ops,
+         std::vector<sim::Tick> &done,
+         std::vector<std::optional<std::vector<std::uint8_t>>> &reads)
+{
+    for (const Op &op : ops) {
+        std::optional<std::vector<std::uint8_t>> out;
+        switch (op.kind) {
+          case Op::set: t = r.set(t, op.key, op.value); break;
+          case Op::del: t = r.del(t, op.key); break;
+          case Op::incr: t = r.incr(t, op.key); break;
+          case Op::get: t = r.get(t, op.key, &out); break;
+        }
+        done.push_back(t);
+        reads.push_back(std::move(out));
+    }
+}
+
+/** Run @p ops as one batch the way a shard serves it: every key hashed
+ *  once, its index slot prefetched 2D ahead and its entry D ahead. */
+void
+runHashed(MiniRedis &r, sim::Tick &t, const std::vector<Op> &ops,
+          std::vector<sim::Tick> &done,
+          std::vector<std::optional<std::vector<std::uint8_t>>> &reads)
+{
+    constexpr std::size_t D = 8;
+    std::vector<MiniRedis::Key> keys;
+    for (const Op &op : ops)
+        keys.push_back(MiniRedis::keyOf(op.key));
+    const std::size_t n = ops.size();
+    for (std::size_t j = 0; j < std::min(2 * D, n); ++j)
+        r.prefetchSlot(keys[j]);
+    for (std::size_t j = 0; j < std::min(D, n); ++j)
+        r.prefetchEntry(keys[j]);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + 2 * D < n)
+            r.prefetchSlot(keys[i + 2 * D]);
+        if (i + D < n)
+            r.prefetchEntry(keys[i + D]);
+        const Op &op = ops[i];
+        std::optional<std::vector<std::uint8_t>> out;
+        switch (op.kind) {
+          case Op::set: t = r.set(t, keys[i], op.value); break;
+          case Op::del: t = r.del(t, keys[i]); break;
+          case Op::incr: t = r.incr(t, keys[i]); break;
+          case Op::get: t = r.get(t, keys[i], &out); break;
+        }
+        done.push_back(t);
+        reads.push_back(std::move(out));
+    }
+}
+
+void
+expectSameStores(RedisRig &a, RedisRig &b)
+{
+    EXPECT_EQ(a.r.contentHash(), b.r.contentHash());
+    EXPECT_EQ(a.r.keys(), b.r.keys());
+    EXPECT_EQ(contents(a.r), contents(b.r));
+    EXPECT_EQ(a.aof.recoverContents(), b.aof.recoverContents());
+}
+
+} // namespace
+
+TEST(MiniRedis, HashedPrefetchedPathMatchesStringApi)
+{
+    // One random SET/DEL/INCR/GET stream over inline (0-64 B) and heap
+    // (65, 1024 B) values, through the string API and through the
+    // hashed, prefetched batch path: same completion ticks, reads, AOF
+    // bytes and contents, across forced AOF rewrites and a crash.
+    RedisRig a;
+    RedisRig b;
+    sim::Rng rng(2016);
+    sim::Tick ta = 0;
+    sim::Tick tb = 0;
+    for (int phase = 0; phase < 2; ++phase) {
+        for (int batch = 0; batch < 12; ++batch) {
+            const auto ops = randomOps(rng, 256);
+            std::vector<sim::Tick> da;
+            std::vector<sim::Tick> db;
+            std::vector<std::optional<std::vector<std::uint8_t>>> ra;
+            std::vector<std::optional<std::vector<std::uint8_t>>> rb;
+            runPlain(a.r, ta, ops, da, ra);
+            runHashed(b.r, tb, ops, db, rb);
+            ASSERT_EQ(da, db);
+            ASSERT_EQ(ra, rb);
+        }
+        expectSameStores(a, b);
+        // Power-cut both mid-history and replay their AOFs.
+        a.aof.crash(ta);
+        b.aof.crash(tb);
+        a.r.recover();
+        b.r.recover();
+        expectSameStores(a, b);
+    }
+    EXPECT_GE(a.r.aofRewrites(), 3u);
+    EXPECT_EQ(a.r.aofRewrites(), b.r.aofRewrites());
 }

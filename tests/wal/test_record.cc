@@ -61,16 +61,32 @@ TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
 {
     // Lengths 0..300 cover the 8-byte fold plus every tail length;
     // eight start offsets cover every alignment of the first fold.
+    // Both the dispatched path (the crc32 instruction on SSE4.2
+    // hosts) and the portable table path must match.
     std::vector<std::uint8_t> buf(8 + 300);
     for (std::size_t i = 0; i < buf.size(); ++i)
         buf[i] = static_cast<std::uint8_t>(i * 131 + (i >> 3) * 7 + 1);
     for (std::size_t align = 0; align < 8; ++align) {
         for (std::size_t len = 0; len <= 300; ++len) {
             std::span<const std::uint8_t> d(buf.data() + align, len);
-            ASSERT_EQ(crc32c(d), crc32cBitwise(d))
+            const std::uint32_t want = crc32cBitwise(d);
+            ASSERT_EQ(crc32c(d), want)
                 << "align " << align << " len " << len;
+            ASSERT_EQ(detail::crc32cTable(d), want)
+                << "table, align " << align << " len " << len;
         }
     }
+}
+
+TEST(Crc32c, Rfc3720Vectors)
+{
+    // RFC 3720 appendix B.4: 32 bytes of zeros and 32 bytes of ones.
+    const std::vector<std::uint8_t> zeros(32, 0x00);
+    const std::vector<std::uint8_t> ones(32, 0xff);
+    EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
+    EXPECT_EQ(crc32c(ones), 0x62A8AB43u);
+    EXPECT_EQ(detail::crc32cTable(zeros), 0x8A9136AAu);
+    EXPECT_EQ(detail::crc32cTable(ones), 0x62A8AB43u);
 }
 
 TEST(Record, FrameIntoReusedBufferMatchesFrameRecord)
