@@ -13,8 +13,8 @@
  *                   drain/copy/purge/flip sequence executes while
  *                   traffic keeps arriving.
  *
- * Every mix is run at 1, 2 and 8 engine threads and the digests and
- * merged metrics are required to match byte for byte before any
+ * Every mix is run at 1, 2, 4 and 8 engine threads and the digests
+ * and merged metrics are required to match byte for byte before any
  * number is reported (the determinism gate is part of the bench, not
  * an afterthought). Emits BENCH_cluster.json (see baselines/) with
  * cluster throughput and p50/p99/p99.9 per-op latency.
@@ -24,7 +24,7 @@
  *                      [--wall=FILE] [--trace=FILE]
  *   --small        CI preset: same 8-shard shape, ~3k ops, traced
  *   --threads=N    run every mix at exactly N engine threads (skips
- *                  the 1/2/8 identity sweep; CI runs this twice and
+ *                  the 1/2/4/8 identity sweep; CI runs this twice and
  *                  cmp's the --out artifacts)
  *   --queues=N     host NVMe I/O queue pairs per shard (default 1)
  *   --qdepth=N     batches each pair admits; 0 = unbounded (default)
@@ -34,7 +34,9 @@
  *                  --out nor --json given: BENCH_cluster.json)
  *   --wall=FILE    informational host wall time of every run, split
  *                  into build / run / verify / digest / report /
- *                  teardown, plus hardware_concurrency (default when
+ *                  teardown, with the engine's inline and parallel
+ *                  round counts and the main thread's barrier wait,
+ *                  plus hardware_concurrency (default when
  *                  neither --out nor --json given:
  *                  BENCH_cluster_wall.json). Never gated: it varies
  *                  with the host.
@@ -152,10 +154,12 @@ runMix(const Mix &mix, unsigned threads, sim::Tracer *trace)
     Stopwatch total;
     Stopwatch phase;
     run.res = workload::runCluster(
-        cfg, trace, [&](std::string_view name) {
+        cfg, trace,
+        [&](std::string_view name) {
             run.phaseMs.emplace_back(std::string(name), phase.ms());
             phase.restart();
-        });
+        },
+        &wallNs);
     run.wallMs = total.ms();
     return run;
 }
@@ -255,11 +259,18 @@ writeWall(std::ostream &os, const std::vector<MixRun> &runs,
        << std::thread::hardware_concurrency() << ",\n  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
         const MixRun &run = runs[i];
-        char buf[128];
+        char buf[256];
         std::snprintf(buf, sizeof buf,
                       "    {\"mix\": \"%s\", \"engine_threads\": %u, "
-                      "\"wall_ms\": %.1f, \"phase_ms\": {",
-                      run.name, run.threads, run.wallMs);
+                      "\"wall_ms\": %.1f, \"inline_rounds\": %llu, "
+                      "\"parallel_rounds\": %llu, "
+                      "\"barrier_wait_ms\": %.1f, \"phase_ms\": {",
+                      run.name, run.threads, run.wallMs,
+                      static_cast<unsigned long long>(
+                          run.res.inlineRounds),
+                      static_cast<unsigned long long>(
+                          run.res.parallelRounds),
+                      run.res.barrierWaitMs);
         os << buf;
         for (std::size_t p = 0; p < run.phaseMs.size(); ++p) {
             std::snprintf(buf, sizeof buf, "%s\"%s\": %.1f",
@@ -353,16 +364,16 @@ main(int argc, char **argv)
         }
     } else {
         // The determinism gate: every mix must produce identical
-        // digests and metrics at 1, 2 and 8 engine threads before
+        // digests and metrics at 1, 2, 4 and 8 engine threads before
         // its numbers are reported.
-        section("1/2/8-thread identity sweep");
+        section("1/2/4/8-thread identity sweep");
         for (const Mix &mix : mixes) {
             sim::Tracer tracer;
             const bool wantTrace = small && !tracePath.empty();
             MixRun serial =
                 runMix(mix, 1, wantTrace ? &tracer : nullptr);
             allRuns.push_back(serial);
-            for (unsigned n : {2u, 8u}) {
+            for (unsigned n : {2u, 4u, 8u}) {
                 MixRun t = runMix(mix, n, nullptr);
                 allRuns.push_back(t);
                 if (t.res.stateDigest != serial.res.stateDigest ||

@@ -10,14 +10,14 @@
  * per schedule/fire/cancel): a 2.2x geomean speedup. That comparison
  * kernel is gone; the scenarios now time the slab pool alone.
  *
- * Emits BENCH_simcore.json (the kernel and figure-bench numbers)
- * plus BENCH_parallel.json: the parallel-engine
- * scaling curve on the sharded-cluster scenario (events/sec vs
- * --engine-threads, digest-checked bit-identical at every point).
+ * Emits BENCH_simcore.json (the kernel and figure-bench numbers).
+ * Parallel-engine scaling is measured on the full fleet by
+ * bench_cluster (BENCH_cluster_wall.json), not here.
  *
  * Usage: bench_simcore [--engine-threads=N] [--cluster-out=FILE]
- *   --engine-threads=N  run ONLY the cluster scenario at N engine
- *                       threads (skips the kernel sections)
+ *   --engine-threads=N  run ONLY the small GC-active cluster scenario
+ *                       at N engine threads (skips the kernel
+ *                       sections)
  *   --cluster-out=FILE  write the run's deterministic artifact
  *                       (digest, counters, metrics, trace) to FILE;
  *                       CI cmp's the serial and threaded artifacts
@@ -30,8 +30,6 @@
 #include <iterator>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench_util.hh"
 #include "support/stopwatch.hh"
@@ -132,10 +130,8 @@ struct Row
 };
 
 /**
- * The multi-device scenario for the parallel-engine scaling curve:
- * 8 sharded miniredis-over-BA-WAL rigs with GC active, driven by one
- * host-domain router. Heavy per-shard batches so the barrier cost
- * amortizes over real store/WAL/device work.
+ * The determinism scenario: 8 sharded miniredis-over-BA-WAL rigs with
+ * GC active, driven by one host-domain router, traced.
  */
 cluster::ClusterConfig
 clusterScenario(unsigned engineThreads)
@@ -176,8 +172,8 @@ runClusterAt(unsigned engineThreads)
 
 /**
  * The deterministic artifact of a cluster run: everything except
- * wall-clock. CI runs this at 1 and 4 engine threads and cmp's the
- * two files byte-for-byte.
+ * wall-clock. CI runs this at 1, 2, 4 and 8 engine threads and
+ * cmp's the threaded files against the serial one byte-for-byte.
  */
 void
 writeClusterArtifact(std::ostream &os, const ClusterRun &run)
@@ -270,74 +266,6 @@ main(int argc, char **argv)
     }
     double pgMs = sw.ms();
     std::printf("%-28s %10.1f\n", "fig9-style minipg linkbench", pgMs);
-
-    // Parallel-engine scaling: the 8-shard cluster scenario at rising
-    // engine thread counts. Digests must match the serial reference at
-    // every point — parallelism changes wall-clock, never results.
-    section("parallel engine scaling (8-shard cluster, BA-WAL + GC)");
-    const unsigned hwCores = std::thread::hardware_concurrency();
-    const unsigned threadPoints[] = {1, 2, 4, 8};
-    std::vector<ClusterRun> scaling;
-    for (unsigned n : threadPoints)
-        scaling.push_back(runClusterAt(n));
-    const ClusterRun &serial = scaling.front();
-    std::printf("%8s %12s %14s %9s %10s\n", "threads", "wall ms",
-                "events/sec", "speedup", "identical");
-    double speedupAt4 = 0.0;
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-        const ClusterRun &r = scaling[i];
-        const bool same =
-            r.res.stateDigest == serial.res.stateDigest &&
-            r.res.metricsJson == serial.res.metricsJson &&
-            r.chromeJson == serial.chromeJson;
-        if (!same)
-            sim::fatal("cluster run at ", threadPoints[i],
-                       " threads diverged from serial");
-        const double eps = r.wallMs > 0.0
-                               ? static_cast<double>(r.res.eventsFired) /
-                                     (r.wallMs / 1000.0)
-                               : 0.0;
-        const double speedup = serial.wallMs / r.wallMs;
-        if (threadPoints[i] == 4)
-            speedupAt4 = speedup;
-        std::printf("%8u %12.1f %14.0f %8.2fx %10s\n", threadPoints[i],
-                    r.wallMs, eps, speedup, same ? "yes" : "NO");
-    }
-    std::printf("speedup at 4 threads: %.2fx (target >= 2x on a "
-                ">=4-core host)\n",
-                speedupAt4);
-    if (hwCores < 4) {
-        std::printf("note: this host exposes %u core(s); wall-clock "
-                    "scaling is bounded by the hardware, the "
-                    "bit-identity gate above is the binding check "
-                    "here\n",
-                    hwCores);
-    }
-
-    std::ofstream pjs("BENCH_parallel.json");
-    pjs << "{\n  \"scenario\": \"cluster-8shard-bawal-gc\",\n";
-    pjs << "  \"hardware_concurrency\": " << hwCores << ",\n";
-    pjs << "  \"shards\": 8,\n  \"events_fired\": "
-        << serial.res.eventsFired << ",\n  \"rounds\": "
-        << serial.res.rounds << ",\n  \"messages\": "
-        << serial.res.messages << ",\n";
-    pjs << "  \"scaling\": [\n";
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-        const ClusterRun &r = scaling[i];
-        pjs << "    {\"engine_threads\": " << threadPoints[i]
-            << ", \"wall_ms\": " << r.wallMs
-            << ", \"events_per_sec\": "
-            << (r.wallMs > 0.0
-                    ? static_cast<double>(r.res.eventsFired) /
-                          (r.wallMs / 1000.0)
-                    : 0.0)
-            << ", \"speedup\": " << serial.wallMs / r.wallMs
-            << ", \"bit_identical\": true}"
-            << (i + 1 < scaling.size() ? ",\n" : "\n");
-    }
-    pjs << "  ],\n  \"speedup_at_4_threads\": " << speedupAt4
-        << "\n}\n";
-    std::printf("wrote BENCH_parallel.json\n");
 
     std::ofstream js("BENCH_simcore.json");
     js << "{\n  \"events_per_scenario\": " << kEvents << ",\n";

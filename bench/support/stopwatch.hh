@@ -13,6 +13,7 @@
 #define BSSD_BENCH_SUPPORT_STOPWATCH_HH
 
 #include <chrono>
+#include <cstdint>
 
 namespace bssd::bench
 {
@@ -41,6 +42,16 @@ class Stopwatch
   private:
     std::chrono::steady_clock::time_point start_;
 };
+
+/** Monotonic wall clock in ns (sim::ParallelEngine::WallClock). */
+inline std::uint64_t
+wallNs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 } // namespace bssd::bench
 

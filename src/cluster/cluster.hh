@@ -164,6 +164,14 @@ class Cluster
      */
     void run();
 
+    /** Time the engine's barrier waits with @p clock (see
+     *  sim::ParallelEngine::timeBarrierWith); host-side only. */
+    void
+    timeBarrierWith(sim::ParallelEngine::WallClock clock)
+    {
+        engine_.timeBarrierWith(clock);
+    }
+
     /** @name Post-run results @{ */
 
     /** The router's counters and latency views. */

@@ -344,12 +344,14 @@ ShardRouter::windowP99(unsigned shard) const
     const std::vector<std::uint64_t> &ring = latWindow_[shard];
     if (ring.empty())
         return 0;
-    std::vector<std::uint64_t> sorted(ring);
-    std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank p99 over whatever the window holds so far.
+    // Nearest-rank p99 over whatever the window holds so far: only
+    // the element at that rank is needed, not a sorted window.
+    std::vector<std::uint64_t> window(ring);
     const std::size_t rank =
-        std::min(sorted.size() * 99 / 100, sorted.size() - 1);
-    return sorted[rank];
+        std::min(window.size() * 99 / 100, window.size() - 1);
+    const auto at = window.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(window.begin(), at, window.end());
+    return *at;
 }
 
 } // namespace bssd::host

@@ -17,9 +17,21 @@
  *  3. give each domain a safe window
  *         W(d) = min over channels s→d of eot(s) + lookahead(s,d)
  *     capped at the run horizon;
- *  4. execute all domains' windows concurrently on a persistent worker
- *     pool (events strictly before W(d) fire); outgoing posts are
- *     buffered in per-domain outboxes;
+ *  4. execute the round's ACTIVE domains — those whose next event is
+ *     before W(d); runWindow on any other domain would fire nothing —
+ *     each firing its events strictly before W(d) and buffering its
+ *     outgoing posts in its own outbox:
+ *       - zero or one active domain runs inline on the calling
+ *         thread, and no worker is woken (most rounds of a star
+ *         topology: the host reaping one completion);
+ *       - two or more are claimed one at a time through a single
+ *         atomic index by the calling thread and a persistent worker
+ *         pool (started on the first such round), so a heavy domain
+ *         never holds a static stripe of light ones behind it;
+ *       - every wait (a worker for the next round, the caller for the
+ *         last worker) spins on `pause` for about one multi-domain
+ *         round, then parks on a condition variable; with more
+ *         threads than hardware threads it parks at once;
  *  5. barrier, then repeat from 1.
  *
  * Safety: any message s ever sends from here on has send time
@@ -33,16 +45,22 @@
  * earliest event always has W(d) > globalMin and fires it — every
  * round fires at least one event or the run is complete.
  *
- * Determinism: with threads == 1 the engine executes the identical
- * window schedule inline in domain-id order, and message delivery
- * order is a pure function of (tick, sender id, sender sequence) — so
- * parallel runs are bit-identical to serial ones, including trace and
- * metrics output. See DESIGN.md section 12.
+ * Determinism: windows and the active list are computed on the
+ * calling thread from state that is identical at every thread count;
+ * a domain's window touches only that domain's queue and outbox, so
+ * which thread claims it, and in what order, cannot change what it
+ * does; message delivery order is a pure function of (tick, sender
+ * id, sender sequence); and a round completes before the lowest-id
+ * failure is rethrown. With threads == 1 the same schedule runs
+ * inline in domain-id order — so parallel runs are bit-identical to
+ * serial ones, including trace and metrics output. See DESIGN.md
+ * section 12.
  */
 
 #ifndef BSSD_SIM_ENGINE_HH
 #define BSSD_SIM_ENGINE_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -122,7 +140,7 @@ class ParallelEngine
      * numbers measure the SCHEDULE's parallelism (how much work each
      * barrier round makes available per domain and which channel
      * bounds it), not wall time, so they are deterministic and
-     * byte-identical across 1/2/8 threads like everything else.
+     * byte-identical across 1/2/4/8 threads like everything else.
      * @{ */
 
     /** Events fired by one domain over this engine's lifetime. */
@@ -170,6 +188,35 @@ class ParallelEngine
 
     /** @} */
 
+    /** @name Barrier cost on the host
+     *
+     * How the rounds were executed, not what they computed: the split
+     * depends on the thread count and the wait on the host, so none
+     * of it is registered as telemetry or written to a deterministic
+     * artifact. Benches report it beside their wall times.
+     * @{ */
+
+    /** Monotonic host clock in nanoseconds. The simulator has no
+     *  wall-clock source of its own; benches pass theirs in. */
+    using WallClock = std::uint64_t (*)();
+
+    /** Time the caller's barrier waits with @p clock (nullptr stops). */
+    void timeBarrierWith(WallClock clock) { wallClock_ = clock; }
+
+    /** Rounds run on the calling thread (<= 1 active domain, or a
+     *  serial engine). */
+    std::uint64_t inlineRounds() const { return inlineRounds_; }
+    /** Rounds whose active domains were claimed by the worker pool. */
+    std::uint64_t parallelRounds() const { return parallelRounds_; }
+    /** Wall ms the caller spent waiting for workers at the barrier,
+     *  summed over parallel rounds timed by timeBarrierWith(). */
+    double barrierWaitMs() const
+    {
+        return static_cast<double>(barrierWaitNs_) / 1e6;
+    }
+
+    /** @} */
+
   private:
     friend class Domain;
 
@@ -193,8 +240,11 @@ class ParallelEngine
     Tick windowFor(std::size_t d, Tick until) const;
     void executeDomain(std::size_t d);
     void runRound();
+    void runParallel();
+    void claimDomains();
+    template <class Ready> bool spinUntil(Ready ready) const;
     void startWorkers();
-    void workerLoop(unsigned self);
+    void workerLoop();
 
     unsigned threads_;
     std::vector<Domain *> domains_;
@@ -205,13 +255,16 @@ class ParallelEngine
 
     // Per-round scratch, indexed by domain id. Written by the main
     // thread between rounds; windows_ is read and perFired_/errors_
-    // written by the executor that owns the domain during a round (the
-    // barrier mutex orders those accesses).
+    // written by the executor that claims the domain during a round
+    // (publishing roundGen_ and draining pending_ order those
+    // accesses).
     std::vector<Tick> next_;
     std::vector<Tick> windows_;
     std::vector<std::uint64_t> perFired_;
     std::vector<std::exception_ptr> errors_;
     std::vector<Routed> mailbag_;
+    /** The round's active domains, in id order. */
+    std::vector<std::uint32_t> active_;
 
     Tick now_ = 0;
     std::uint64_t rounds_ = 0;
@@ -232,14 +285,26 @@ class ParallelEngine
     Histogram windowWidth_{"window-width-ticks"};
     Tracer *roundTracer_ = nullptr;
 
-    // Worker pool (started lazily on the first threaded round).
+    std::uint64_t inlineRounds_ = 0;
+    std::uint64_t parallelRounds_ = 0;
+    WallClock wallClock_ = nullptr;
+    std::uint64_t barrierWaitNs_ = 0;
+
+    // Worker pool (started lazily on the first parallel round). A
+    // round is published by bumping roundGen_ under mutex_; executors
+    // claim active_ entries through claim_; each worker decrements
+    // pending_ when the index runs out, and the caller waits for 0.
     std::vector<std::thread> workers_;
+    /** pause iterations a wait spins before it parks; 0 when the pool
+     *  oversubscribes the host. Set when the workers start. */
+    unsigned spinBudget_ = 0;
     std::mutex mutex_;
     std::condition_variable roundStart_;
     std::condition_variable roundDone_;
-    std::uint64_t roundGen_ = 0;
-    unsigned busy_ = 0;
-    bool stop_ = false;
+    std::atomic<std::uint64_t> roundGen_{0};
+    std::atomic<std::size_t> claim_{0};
+    std::atomic<unsigned> pending_{0};
+    std::atomic<bool> stop_{false};
 };
 
 } // namespace bssd::sim

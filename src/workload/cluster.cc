@@ -10,13 +10,15 @@ namespace bssd::workload
 
 ClusterResult
 runCluster(const cluster::ClusterConfig &cfg, sim::Tracer *trace,
-           const PhaseHook &onPhase)
+           const PhaseHook &onPhase,
+           sim::ParallelEngine::WallClock wallClock)
 {
     auto phase = [&onPhase](std::string_view name) {
         if (onPhase)
             onPhase(name);
     };
     auto c = std::make_unique<cluster::Cluster>(cfg, trace);
+    c->timeBarrierWith(wallClock);
     phase("build");
     c->run();
     phase("run");
@@ -36,6 +38,9 @@ runCluster(const cluster::ClusterConfig &cfg, sim::Tracer *trace,
     res.eventsFired = c->engine().eventsFired();
     res.rounds = c->engine().rounds();
     res.messages = c->engine().messagesDelivered();
+    res.inlineRounds = c->engine().inlineRounds();
+    res.parallelRounds = c->engine().parallelRounds();
+    res.barrierWaitMs = c->engine().barrierWaitMs();
     res.horizon = c->horizon();
     res.batchP50 = router.batchLatency().percentile(50.0);
     res.batchP99 = router.batchLatency().percentile(99.0);

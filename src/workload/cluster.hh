@@ -67,6 +67,18 @@ struct ClusterResult
     /** Per-shard SLO time series (JSON, deterministic column order:
      *  host gauges first, then shards by id). */
     std::string sloSeriesJson;
+
+    /** @name How the engine ran the rounds (host side)
+     *
+     * Not determinism-comparable: the inline/parallel split depends
+     * on the thread count, the wait on the host. Benches report these
+     * beside wall times, never in an artifact that is diffed.
+     * @{ */
+    std::uint64_t inlineRounds = 0;
+    std::uint64_t parallelRounds = 0;
+    /** Caller's barrier wait, wall ms (0 unless a clock was given). */
+    double barrierWaitMs = 0.0;
+    /** @} */
 };
 
 /**
@@ -82,11 +94,13 @@ using PhaseHook = std::function<void(std::string_view phase)>;
  * tear it down. When @p trace is non-null each shard records into
  * its own tracer and the per-domain traces are appended to @p trace
  * in domain-id order afterwards (byte-identical across thread
- * counts).
+ * counts). When @p wallClock is non-null the engine's barrier waits
+ * are timed with it (ClusterResult::barrierWaitMs).
  */
 ClusterResult runCluster(const cluster::ClusterConfig &cfg,
                          sim::Tracer *trace = nullptr,
-                         const PhaseHook &onPhase = {});
+                         const PhaseHook &onPhase = {},
+                         sim::ParallelEngine::WallClock wallClock = nullptr);
 
 } // namespace bssd::workload
 

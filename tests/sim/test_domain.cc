@@ -13,7 +13,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/domain.hh"
@@ -26,12 +28,33 @@
 
 using namespace bssd::sim;
 
+namespace
+{
+
+/** Seed an event into @p d's own queue: test setup, run by no domain. */
+void
+seedLocal(Domain &d, Tick at, EventQueue::Callback cb)
+{
+    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
+    d.queue().schedule(at, std::move(cb));
+}
+
+/** Fake host clock for timeBarrierWith: 1 µs per read. */
+std::uint64_t fakeNs = 0;
+
+std::uint64_t
+tickingClock()
+{
+    return fakeNs += 1000;
+}
+
+} // namespace
+
 TEST(Domain, StandaloneActsAsQueueOwner)
 {
     Domain d("solo");
     int hits = 0;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
-    d.queue().schedule(10, [&] { ++hits; });
+    seedLocal(d, 10, [&] { ++hits; });
     d.queue().runUntil(20);
     EXPECT_EQ(hits, 1);
     EXPECT_EQ(d.now(), 20u);
@@ -83,8 +106,7 @@ TEST(ParallelEngine, RunAdvancesEveryClockToHorizon)
     eng.add(a);
     eng.add(b);
     int hits = 0;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
-    a.queue().schedule(40, [&] { ++hits; });
+    seedLocal(a, 40, [&] { ++hits; });
     EXPECT_EQ(eng.run(100), 1u);
     EXPECT_EQ(hits, 1);
     EXPECT_EQ(a.now(), 100u);
@@ -114,8 +136,7 @@ TEST(ParallelEngine, CrossDomainPingPong)
             });
         }
     };
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
-    ping.queue().schedule(10, [&] {
+    seedLocal(ping, 10, [&] {
         pingTimes.push_back(ping.now());
         ping.post(pong, 110, volley);
     });
@@ -128,14 +149,67 @@ TEST(ParallelEngine, CrossDomainPingPong)
 
 TEST(ParallelEngine, PanicInsideDomainPropagates)
 {
-    for (unsigned threads : {1u, 2u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        // Unconnected domains: every window reaches the horizon, so
+        // all four are active in the first round. Two of them panic;
+        // the higher-id one at an EARLIER tick, so it usually finishes
+        // first. The id still decides which message surfaces.
+        Domain quiet("quiet"), low("low"), busy("busy"), high("high");
+        ParallelEngine eng(threads);
+        eng.add(quiet);
+        eng.add(low);
+        eng.add(busy);
+        eng.add(high);
+        seedLocal(quiet, 3, [] {});
+        for (Tick t = 1; t < 50; ++t)
+            seedLocal(busy, t, [] {});
+        seedLocal(low, 40, [] { panic("boom-low"); });
+        seedLocal(high, 5, [] { panic("boom-high"); });
+        eng.timeBarrierWith(&tickingClock);
+        std::string what;
+        try {
+            eng.run(100);
+        } catch (const SimPanic &e) {
+            what = e.what();
+        }
+        EXPECT_EQ(what, "panic: boom-low") << threads << " threads";
+        // The round completed before the rethrow, and the engine
+        // (with any workers it started) destructs at scope end.
+        EXPECT_EQ(eng.rounds(), 1u);
+        EXPECT_EQ(busy.queue().pending(), 0u) << threads << " threads";
+        // With workers, that round went to the pool, and its one
+        // barrier wait read the clock twice.
+        const bool pooled = threads > 1;
+        EXPECT_EQ(eng.parallelRounds(), pooled ? 1u : 0u);
+        EXPECT_EQ(eng.inlineRounds(), pooled ? 0u : 1u);
+        EXPECT_DOUBLE_EQ(eng.barrierWaitMs(), pooled ? 0.001 : 0.0);
+    }
+}
+
+TEST(ParallelEngine, SingleActiveRoundRunsOnCallerThread)
+{
+    for (unsigned threads : {2u, 4u}) {
         Domain a("a"), b("b");
         ParallelEngine eng(threads);
         eng.add(a);
         eng.add(b);
-        // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
-        a.queue().schedule(10, [] { panic("boom"); });
-        EXPECT_THROW(eng.run(100), SimPanic);
+        eng.connect(a, b, 10);
+        eng.connect(b, a, 10);
+        // Only b ever has events: every round has one active domain,
+        // and it is not domain 0 (which a static split by id would
+        // also have left on the caller).
+        std::vector<std::thread::id> seen;
+        for (Tick t = 5; t < 200; t += 15) {
+            seedLocal(b, t, [&seen] {
+                seen.push_back(std::this_thread::get_id());
+            });
+        }
+        eng.run(500);
+        ASSERT_EQ(seen.size(), 13u);
+        for (const std::thread::id &id : seen)
+            EXPECT_EQ(id, std::this_thread::get_id());
+        EXPECT_EQ(eng.parallelRounds(), 0u);
+        EXPECT_EQ(eng.inlineRounds(), eng.rounds());
     }
 }
 
@@ -172,14 +246,17 @@ mailboxScenario(unsigned threads, std::uint64_t seed)
     Rng rng(seed);
     for (unsigned s = 0; s < kSenders; ++s) {
         Domain &dom = *senders[s];
-        for (int e = 0; e < 40; ++e) {
+        // Sender 0 is heavily skewed (10x the events of the others),
+        // so threads claiming domains dynamically finish at very
+        // different times.
+        const int events = s == 0 ? 400 : 40;
+        for (int e = 0; e < events; ++e) {
             const Tick at = rng.nextRange(1, 4000);
             const Tick extra = rng.nextBelow(200);
             const std::uint64_t tag = payload++;
             const std::uint32_t sid = s;
             (void)tag;
-            // bssd-lint: allow(det-cross-domain-schedule) own domain
-            dom.queue().schedule(at, [&, extra, sid] {
+            seedLocal(dom, at, [&, extra, sid] {
                 Domain &d = *senders[sid];
                 const Tick when = d.now() + kLook + extra;
                 // The engine's ordering key is the send sequence, so
@@ -201,7 +278,7 @@ TEST(ParallelEngine, MailboxOrderingProperty)
 {
     for (std::uint64_t seed : {1u, 7u, 42u}) {
         const std::vector<Obs> serial = mailboxScenario(1, seed);
-        ASSERT_EQ(serial.size(), 5u * 40u);
+        ASSERT_EQ(serial.size(), 400u + 4u * 40u);
 
         // Delivery must be sorted by (tick, sender id, sender seq) —
         // exactly the contract's deterministic mailbox key.
@@ -211,6 +288,7 @@ TEST(ParallelEngine, MailboxOrderingProperty)
 
         // And every thread count observes the identical sequence.
         EXPECT_EQ(mailboxScenario(2, seed), serial);
+        EXPECT_EQ(mailboxScenario(4, seed), serial);
         EXPECT_EQ(mailboxScenario(8, seed), serial);
     }
 }
@@ -228,8 +306,7 @@ TEST(Domain, ContextPostDeliversContextInTheTargetDomain)
 
     const TraceContext ctx{7, (std::uint64_t(1) << 32) | 3};
     std::size_t depthInside = 0;
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
-    host.queue().schedule(5, [&] {
+    seedLocal(host, 5, [&] {
         host.post(shard, 20, ctx, [&] {
             // The request identity is in scope while the callback runs
             // in the TARGET domain: a top-level span stitches back.
@@ -259,8 +336,7 @@ TEST(Domain, EmptyContextPostIsAPlainPost)
     Tracer tracer;
     b.setTracer(&tracer);
     std::size_t depthInside = ~std::size_t(0);
-    // bssd-lint: allow(det-cross-domain-schedule) seeding own domain
-    a.queue().schedule(1, [&] {
+    seedLocal(a, 1, [&] {
         a.post(b, 20, TraceContext{}, [&] {
             depthInside = tracer.contextDepth();
         });
@@ -285,26 +361,39 @@ pingPongLoad(Domain &a, Domain &b, ParallelEngine &eng)
     // Staggered local events on both sides, each posting across: the
     // windows keep being bounded by both channels in turn.
     for (Tick t = 10; t < 3000; t += 70) {
-        // bssd-lint: allow(det-cross-domain-schedule) own domain
-        a.queue().schedule(t, [&a, &b] {
+        seedLocal(a, t, [&a, &b] {
             a.post(b, a.now() + kToB, [] {});
         });
     }
     for (Tick t = 30; t < 3000; t += 110) {
-        // bssd-lint: allow(det-cross-domain-schedule) own domain
-        b.queue().schedule(t, [&a, &b] {
+        seedLocal(b, t, [&a, &b] {
             b.post(a, b.now() + kToA, [] {});
         });
     }
 }
 
-/** Serialized engine telemetry (metrics JSON) for one thread count. */
+/**
+ * Serialized engine telemetry (metrics JSON) for one thread count:
+ * the ping-pong load plus a heavily skewed third domain that fires
+ * 20 local events per alpha event and posts into both.
+ */
 std::string
 telemetryAt(unsigned threads)
 {
-    Domain a("alpha"), b("beta");
+    constexpr Tick kFromHeavy = 60;
+    Domain a("alpha"), b("beta"), heavy("heavy");
     ParallelEngine eng(threads);
     pingPongLoad(a, b, eng);
+    eng.add(heavy);
+    eng.connect(heavy, a, kFromHeavy);
+    eng.connect(heavy, b, kFromHeavy);
+    for (Tick t = 1; t < 3000; t += 4) {
+        seedLocal(heavy, t, [&heavy, &a, &b, t] {
+            if (t % 64 == 1)
+                heavy.post(t % 128 == 1 ? a : b,
+                           heavy.now() + kFromHeavy, [] {});
+        });
+    }
     eng.run(usOf(5));
 
     MetricRegistry reg;
@@ -351,6 +440,7 @@ TEST(ParallelEngine, TelemetryIsIdenticalAcrossThreadCounts)
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(telemetryAt(2), serial);
     EXPECT_EQ(telemetryAt(4), serial);
+    EXPECT_EQ(telemetryAt(8), serial);
 }
 
 TEST(ParallelEngine, TraceRoundsRecordsOneSpanPerRound)
