@@ -13,8 +13,8 @@
  *                   drain/copy/purge/flip sequence executes while
  *                   traffic keeps arriving.
  *
- * Every mix is run at 1, 2, 4 and 8 engine threads and the digests
- * and merged metrics are required to match byte for byte before any
+ * Every mix is run at 1, 2, 4 and 8 engine threads and the digests,
+ * metrics and SLO series are required to match byte for byte before any
  * number is reported (the determinism gate is part of the bench, not
  * an afterthought). Emits BENCH_cluster.json (see baselines/) with
  * cluster throughput and p50/p99/p99.9 per-op latency.
@@ -24,8 +24,9 @@
  *                      [--wall=FILE] [--trace=FILE]
  *   --small        CI preset: same 8-shard shape, ~3k ops, traced
  *   --threads=N    run every mix at exactly N engine threads (skips
- *                  the 1/2/4/8 identity sweep; CI runs this twice and
- *                  cmp's the --out artifacts)
+ *                  the 1/2/4/8 identity sweep; CI runs this at 1, 2, 4
+ *                  and 8 threads and cmp's the --out, --json and
+ *                  --trace files against the 1-thread ones)
  *   --queues=N     host NVMe I/O queue pairs per shard (default 1)
  *   --qdepth=N     batches each pair admits; 0 = unbounded (default)
  *   --out=FILE     deterministic artifact of the run (digests,
@@ -212,8 +213,8 @@ writeSummary(std::ostream &os, const std::vector<MixRun> &runs,
 /**
  * The deterministic artifact: everything a byte-compare between a
  * serial and a threaded run should see — per-mix digests, counters,
- * latency percentiles and the full merged metrics snapshot. No wall
- * clock, no thread count.
+ * latency percentiles, the full metrics snapshot and the SLO series.
+ * No wall clock, no thread count.
  */
 void
 writeArtifact(std::ostream &os, const std::vector<MixRun> &runs)
@@ -345,8 +346,8 @@ main(int argc, char **argv)
     bool verified = false;
 
     if (!threadsFlag.empty()) {
-        // Pinned thread count: CI runs this twice (1 and 4) and
-        // byte-compares the artifacts.
+        // Pinned thread count: CI runs this at 1, 2, 4 and 8 threads
+        // and byte-compares the artifacts.
         const unsigned n =
             std::max(1u, static_cast<unsigned>(std::stoul(threadsFlag)));
         section("mixes at " + threadsFlag + " engine thread(s)");

@@ -190,7 +190,7 @@ main(int argc, char **argv)
             rep.config = "twob, 64x 4KB random read+write";
             rep.metrics = registry.snapshot();
             rep.phases = res.phases;
-            rep.series = &sampler;
+            rep.series = &sampler.table();
             std::ofstream os(metricsPath);
             rep.writeJson(os);
             std::printf("wrote metrics report: %s\n",

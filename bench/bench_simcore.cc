@@ -11,36 +11,23 @@
  * kernel is gone; the scenarios now time the slab pool alone.
  *
  * Emits BENCH_simcore.json (the kernel and figure-bench numbers).
- * Parallel-engine scaling is measured on the full fleet by
- * bench_cluster (BENCH_cluster_wall.json), not here.
- *
- * Usage: bench_simcore [--engine-threads=N] [--cluster-out=FILE]
- *   --engine-threads=N  run ONLY the small GC-active cluster scenario
- *                       at N engine threads (skips the kernel
- *                       sections)
- *   --cluster-out=FILE  write the run's deterministic artifact
- *                       (digest, counters, metrics, trace) to FILE;
- *                       CI cmp's the serial and threaded artifacts
- *                       byte-for-byte
+ * Parallel-engine scaling and the cluster's thread-count identity
+ * are measured on the fleet by bench_cluster, not here.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <sstream>
-#include <string>
 
 #include "bench_util.hh"
 #include "support/stopwatch.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 #include "ssd/ssd_device.hh"
 #include "wal/ba_wal.hh"
 #include "ba/two_b_ssd.hh"
 #include "db/minipg/minipg.hh"
-#include "workload/cluster.hh"
 #include "workload/fio.hh"
 #include "workload/runner.hh"
 
@@ -129,102 +116,11 @@ struct Row
     double eps;
 };
 
-/**
- * The determinism scenario: 8 sharded miniredis-over-BA-WAL rigs with
- * GC active, driven by one host-domain router, traced.
- */
-cluster::ClusterConfig
-clusterScenario(unsigned engineThreads)
-{
-    cluster::ClusterConfig cfg;
-    cfg.shards = 8;
-    cfg.wal = cluster::ClusterConfig::Wal::ba;
-    cfg.gc = true;
-    cfg.engineThreads = engineThreads;
-    cfg.opsPerCycle = 512;
-    cfg.cycles = 24;
-    cfg.keySpace = 2048;
-    cfg.valueBytes = 192;
-    return cfg;
-}
-
-struct ClusterRun
-{
-    workload::ClusterResult res;
-    std::string chromeJson;
-    double wallMs = 0.0;
-};
-
-ClusterRun
-runClusterAt(unsigned engineThreads)
-{
-    ClusterRun run;
-    sim::Tracer tracer;
-    Stopwatch sw;
-    run.res = workload::runCluster(clusterScenario(engineThreads),
-                                   &tracer);
-    run.wallMs = sw.ms();
-    std::ostringstream os;
-    tracer.writeChromeJson(os);
-    run.chromeJson = os.str();
-    return run;
-}
-
-/**
- * The deterministic artifact of a cluster run: everything except
- * wall-clock. CI runs this at 1, 2, 4 and 8 engine threads and
- * cmp's the threaded files against the serial one byte-for-byte.
- */
-void
-writeClusterArtifact(std::ostream &os, const ClusterRun &run)
-{
-    const workload::ClusterResult &r = run.res;
-    os << "{\n  \"scenario\": \"cluster-8shard-bawal-gc\",\n";
-    os << "  \"state_digest\": \"" << std::hex << r.stateDigest
-       << std::dec << "\",\n";
-    os << "  \"ops_routed\": " << r.opsRouted
-       << ",\n  \"ops_completed\": " << r.opsCompleted
-       << ",\n  \"batches\": " << r.batchesCompleted
-       << ",\n  \"events_fired\": " << r.eventsFired
-       << ",\n  \"rounds\": " << r.rounds
-       << ",\n  \"messages\": " << r.messages
-       << ",\n  \"batch_p50_ticks\": " << r.batchP50
-       << ",\n  \"batch_p99_ticks\": " << r.batchP99 << ",\n";
-    os << "  \"metrics\": " << run.res.metricsJson << ",\n";
-    os << "  \"trace\": " << run.chromeJson << "\n}\n";
-}
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    // --engine-threads=N: run only the cluster scenario (the shape CI
-    // uses for the byte-identity gate).
-    const std::string threadsFlag =
-        stringArg(argc, argv, "--engine-threads");
-    const std::string clusterOut = stringArg(argc, argv, "--cluster-out");
-    if (!threadsFlag.empty()) {
-        const unsigned n =
-            static_cast<unsigned>(std::stoul(threadsFlag));
-        banner("simcore", "cluster scenario at " + threadsFlag +
-                              " engine thread(s)");
-        ClusterRun run = runClusterAt(n == 0 ? 1 : n);
-        std::printf("ops %llu  events %llu  rounds %llu  digest %llx  "
-                    "wall %.1f ms\n",
-                    static_cast<unsigned long long>(run.res.opsCompleted),
-                    static_cast<unsigned long long>(run.res.eventsFired),
-                    static_cast<unsigned long long>(run.res.rounds),
-                    static_cast<unsigned long long>(run.res.stateDigest),
-                    run.wallMs);
-        if (!clusterOut.empty()) {
-            std::ofstream os(clusterOut);
-            writeClusterArtifact(os, run);
-            std::printf("wrote %s\n", clusterOut.c_str());
-        }
-        return 0;
-    }
-
     banner("simcore", "event-kernel throughput (slab pool)");
 
     constexpr std::size_t kEvents = 2'000'000;

@@ -152,9 +152,8 @@ runClusterCell(const cluster::ClusterConfig &cfg)
     double ms = sw.ms();
 
     sim::SweepRecord rec;
-    rec.device = cfg.wal == cluster::ClusterConfig::Wal::ba
-                     ? "cluster-ba"
-                     : "cluster-blk";
+    rec.device = cfg.wal == rigs::WalKind::baSingle ? "cluster-ba"
+                                                    : "cluster-blk";
     rec.workload = "sharded-miniredis";
     rec.clients = cfg.shards;
     rec.engineThreads = cfg.engineThreads;
@@ -227,8 +226,7 @@ main(int argc, char **argv)
     // the parallel engine, with --engine-threads workers each.
     using cluster::ClusterConfig;
     std::vector<ClusterConfig> clusterCells;
-    for (ClusterConfig::Wal wal :
-         {ClusterConfig::Wal::ba, ClusterConfig::Wal::block}) {
+    for (rigs::WalKind wal : {rigs::WalKind::baSingle, rigs::WalKind::block}) {
         ClusterConfig ccfg;
         ccfg.wal = wal;
         ccfg.engineThreads = engineThreads;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "db/bytes.hh"
-#include "db/minipg/minipg.hh"
 #include "db/miniredis/miniredis.hh"
 #include "db/page_allocator.hh"
 #include "rigs/rig.hh"
@@ -107,29 +106,8 @@ struct Fnv
 
 } // namespace
 
-const char *
-engineName(ClusterConfig::Engine e)
-{
-    switch (e) {
-      case ClusterConfig::Engine::redis: return "redis";
-      case ClusterConfig::Engine::pg: return "pg";
-    }
-    return "?";
-}
-
-const char *
-walName(ClusterConfig::Wal w)
-{
-    switch (w) {
-      case ClusterConfig::Wal::ba: return "ba";
-      case ClusterConfig::Wal::block: return "block";
-      case ClusterConfig::Wal::baRepl: return "ba_repl";
-    }
-    return "?";
-}
-
 /**
- * One shard: a store over a rigs::Rig (device(s) + WAL) living in the
+ * One shard: miniredis over a rigs::Rig (device(s) + WAL) living in the
  * rig's domain. The follower domain of a replicated rig is never
  * registered with the engine: the ReplicatedWal models the
  * inter-device link entirely inside the primary's domain, and nothing
@@ -139,7 +117,6 @@ struct Cluster::Shard
 {
     rigs::Rig rig;
     std::unique_ptr<db::miniredis::MiniRedis> redis;
-    std::unique_ptr<db::minipg::MiniPg> pg;
     sim::Tracer tracer;
     /** Shard-local service clock: batches queue behind each other. */
     sim::Tick clock = 0;
@@ -149,38 +126,7 @@ struct Cluster::Shard
      *  in slot j % kKeyRing. */
     std::array<std::string, kKeyRing> keyText;
     std::array<std::uint32_t, kKeyRing> keyHash{};
-
-    std::uint64_t
-    contentHash() const
-    {
-        return redis ? redis->contentHash() : pg->contentHash();
-    }
 };
-
-namespace
-{
-
-/**
- * The rig WAL a shard runs. BA-WALs are single-buffered for Redis,
- * respecting its single-threaded design (Section IV-B); minipg
- * group-commits, so it keeps the double-buffered halves.
- */
-rigs::WalKind
-shardWal(const ClusterConfig &cfg)
-{
-    const bool single = cfg.engine == ClusterConfig::Engine::redis;
-    switch (cfg.wal) {
-      case ClusterConfig::Wal::ba:
-        return single ? rigs::WalKind::baSingle : rigs::WalKind::ba;
-      case ClusterConfig::Wal::block: return rigs::WalKind::block;
-      case ClusterConfig::Wal::baRepl:
-        return single ? rigs::WalKind::baReplSingle
-                      : rigs::WalKind::baRepl;
-    }
-    return rigs::WalKind::block;
-}
-
-} // namespace
 
 Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
     : cfg_(cfg),
@@ -192,6 +138,12 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
 {
     if (cfg_.shards == 0)
         sim::fatal("Cluster: at least one shard required");
+    if (cfg_.wal != rigs::WalKind::baSingle &&
+        cfg_.wal != rigs::WalKind::block &&
+        cfg_.wal != rigs::WalKind::baReplSingle) {
+        sim::fatal("Cluster: shards run wal=ba_single, block or "
+                   "ba_repl_single, not ", rigs::walName(cfg_.wal));
+    }
     if (cfg_.rebalanceAtCycle > 0) {
         if (cfg_.moveTo >= cfg_.shards)
             sim::fatal("Cluster: moveTo shard ", cfg_.moveTo, " of ",
@@ -255,7 +207,9 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
         hostTracer_.setEnabled(false);
     }
 
-    buildSlo();
+    registerSlo(sloReg_);
+    sloSampler_ = std::make_unique<sim::GaugeSampler>(sloReg_,
+                                                      sim::msOf(1));
 }
 
 Cluster::~Cluster()
@@ -268,20 +222,14 @@ Cluster::~Cluster()
 void
 Cluster::buildShards(sim::Tracer *trace)
 {
-    const rigs::WalKind wal = shardWal(cfg_);
     const rigs::RigSpec spec =
-        cfg_.gc ? rigs::gcSpec(wal) : rigs::tinySpec(wal);
+        cfg_.gc ? rigs::gcSpec(cfg_.wal) : rigs::tinySpec(cfg_.wal);
     shards_.reserve(cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         auto shard = std::make_unique<Shard>();
         shard->rig = rigs::makeRig(spec, "shard" + std::to_string(s));
-        if (cfg_.engine == ClusterConfig::Engine::redis) {
-            shard->redis = std::make_unique<db::miniredis::MiniRedis>(
-                *shard->rig.log);
-        } else {
-            shard->pg = std::make_unique<db::minipg::MiniPg>(
-                *shard->rig.log);
-        }
+        shard->redis =
+            std::make_unique<db::miniredis::MiniRedis>(*shard->rig.log);
         sim::Domain &dom = shard->rig.domain();
         if (trace) {
             // Stream s+1 keeps this shard's global span ids disjoint
@@ -313,10 +261,10 @@ Cluster::makeExec()
         sim::Tick t = std::max(start, sh.clock);
         opDone.reserve(n);
 
-        // A redis batch is software-pipelined: op j's key is formatted
-        // and hashed once, and its index slot prefetched, 2D ops before
-        // it runs; its entry is prefetched D ops before. Ops still run
-        // one at a time in batch order.
+        // A batch is software-pipelined: op j's key is formatted and
+        // hashed once, and its index slot prefetched, 2D ops before it
+        // runs; its entry is prefetched D ops before. Ops still run one
+        // at a time in batch order.
         constexpr std::size_t D = kPrefetchDistance;
         auto key = [&](std::size_t j) {
             j %= kKeyRing;
@@ -328,21 +276,17 @@ Cluster::makeExec()
             sh.keyHash[j % kKeyRing] = MiniRedis::keyOf(text).hash;
             redis->prefetchSlot(key(j));
         };
-        if (redis) {
-            for (std::size_t j = 0; j < std::min(2 * D, n); ++j)
-                stage(j);
-            for (std::size_t j = 0; j < std::min(D, n); ++j)
-                redis->prefetchEntry(key(j));
-        }
+        for (std::size_t j = 0; j < std::min(2 * D, n); ++j)
+            stage(j);
+        for (std::size_t j = 0; j < std::min(D, n); ++j)
+            redis->prefetchEntry(key(j));
 
         for (std::size_t i = 0; i < n; ++i) {
             const host::RouterOp &op = ops[i];
-            if (redis) {
-                if (i + 2 * D < n)
-                    stage(i + 2 * D);
-                if (i + D < n)
-                    redis->prefetchEntry(key(i + D));
-            }
+            if (i + 2 * D < n)
+                stage(i + 2 * D);
+            if (i + D < n)
+                redis->prefetchEntry(key(i + D));
             // Scope the op's request identity around its execution:
             // the exec span adopts the trace and cross-links to the
             // op's (future) root span in the host tracer, and every
@@ -353,22 +297,11 @@ Cluster::makeExec()
                     sim::TraceContext{op.trace, op.gid});
                 execSpan = sh.tracer.beginSpan("shard", "exec", t);
             }
-            if (redis) {
-                if (op.kind == host::RouterOp::Kind::set) {
-                    fillValue(sh.value, op.key, op.valueBytes);
-                    t = redis->set(t, key(i), sh.value);
-                } else {
-                    t = redis->get(t, key(i));
-                }
+            if (op.kind == host::RouterOp::Kind::set) {
+                fillValue(sh.value, op.key, op.valueBytes);
+                t = redis->set(t, key(i), sh.value);
             } else {
-                // addNode upserts (XLOG replay assigns), so SET maps
-                // onto it for both fresh and existing ids.
-                if (op.kind == host::RouterOp::Kind::set) {
-                    fillValue(sh.value, op.key, op.valueBytes);
-                    t = sh.pg->addNode(t, op.key, sh.value);
-                } else {
-                    t = sh.pg->getNode(t, op.key);
-                }
+                t = redis->get(t, key(i));
             }
             if (op.trace != 0) {
                 sh.tracer.endSpan(execSpan, t);
@@ -426,14 +359,9 @@ Cluster::run()
                        " of ", cfg_.cycles, ")");
         }
         // The engine is quiescent between runs, so the gauges read a
-        // consistent fleet state at the shared horizon tick — every
-        // sampler rows at the same ticks and the merged series joins.
-        sampleSlo(horizon_);
+        // consistent fleet state at the horizon tick.
+        sloSampler_->sample(horizon_);
     }
-
-    slo_.merge(*hostSloSampler_);
-    for (const auto &s : sloSamplers_)
-        slo_.merge(*s);
 
     if (trace_) {
         // Host first (stream 0), then shards in domain-id order: a
@@ -446,48 +374,35 @@ Cluster::run()
 }
 
 void
-Cluster::sampleSlo(sim::Tick now)
+Cluster::registerSlo(sim::MetricRegistry &reg) const
 {
-    hostSloSampler_->sample(now);
-    for (const auto &s : sloSamplers_)
-        s->sample(now);
-}
-
-void
-Cluster::buildSlo()
-{
-    const sim::Tick period = sim::msOf(1);
-    hostSloReg_ = std::make_unique<sim::MetricRegistry>();
-    hostSloReg_->addGauge("slo.cluster.held_ops", [this] {
+    reg.addGauge("slo.cluster.held_ops", [this] {
         return static_cast<double>(router_->heldOps());
     });
-    hostSloReg_->addGauge("slo.cluster.hold_ticks", [this] {
+    reg.addGauge("slo.cluster.hold_ticks", [this] {
         const bool holding = rebal_ == Rebal::draining ||
                              rebal_ == Rebal::copying;
         return holding
                    ? static_cast<double>(host_.now() - rebalStart_)
                    : 0.0;
     });
-    hostSloReg_->addGauge("slo.cluster.queue_depth", [this] {
+    reg.addGauge("slo.cluster.queue_depth", [this] {
         std::uint64_t q = 0;
         for (unsigned s = 0; s < cfg_.shards; ++s)
             q += router_->outstanding(s);
         return static_cast<double>(q);
     });
-    hostSloSampler_ =
-        std::make_unique<sim::GaugeSampler>(*hostSloReg_, period);
 
     for (unsigned s = 0; s < cfg_.shards; ++s) {
-        auto reg = std::make_unique<sim::MetricRegistry>();
         const std::string p = "slo.shard" + std::to_string(s);
-        Shard *sh = shards_[s].get();
-        reg->addGauge(p + ".queue_depth", [this, s] {
+        const Shard *sh = shards_[s].get();
+        reg.addGauge(p + ".queue_depth", [this, s] {
             return static_cast<double>(router_->outstanding(s));
         });
-        reg->addGauge(p + ".wal_bytes", [sh] {
+        reg.addGauge(p + ".wal_bytes", [sh] {
             return static_cast<double>(sh->rig.log->bytesToStore());
         });
-        reg->addGauge(p + ".gc_debt", [sh] {
+        reg.addGauge(p + ".gc_debt", [sh] {
             // Blocks short of the GC high watermark: >0 means the
             // shard is burning margin and relocations are (or will
             // be) stealing bandwidth from foreground ops.
@@ -499,20 +414,15 @@ Cluster::buildSlo()
                        : static_cast<double>(fc.gcHighWaterBlocks -
                                              free);
         });
-        reg->addGauge(p + ".p99_ticks", [this, s] {
+        reg.addGauge(p + ".p99_ticks", [this, s] {
             return static_cast<double>(router_->windowP99(s));
         });
-        // Only the rebalance TARGET registers this gauge — the merged
-        // snapshot/series must keep such one-sided columns (the
-        // union-merge regression the tests pin down).
+        // Only the rebalance TARGET has this column.
         if (cfg_.rebalanceAtCycle > 0 && s == cfg_.moveTo) {
-            reg->addGauge(p + ".inbound_keys", [this] {
+            reg.addGauge(p + ".inbound_keys", [this] {
                 return static_cast<double>(movedKeys_);
             });
         }
-        sloSamplers_.push_back(
-            std::make_unique<sim::GaugeSampler>(*reg, period));
-        sloRegs_.push_back(std::move(reg));
     }
 }
 
@@ -626,45 +536,30 @@ Cluster::runStep(std::size_t step)
             const std::uint64_t p = map_.point(id);
             return p >= mr.begin && p < mr.end;
         };
-        // The stores walk in hash order; the moving subset is sorted
-        // by store key before any op is issued, so the copy replays
-        // in the same (key-text / id) order at any thread count.
-        if (sh.redis) {
-            std::vector<std::pair<const std::string *,
-                                  std::span<const std::uint8_t>>>
-                hits;
-            sh.redis->forEachUnordered(
-                [&](const std::string &key,
-                    std::span<const std::uint8_t> value) {
-                    const auto id = routerKeyOf(key);
-                    if (id && moving(*id))
-                        hits.emplace_back(&key, value);
-                });
-            std::sort(hits.begin(), hits.end(),
-                      [](const auto &a, const auto &b) {
-                          return *a.first < *b.first;
-                      });
-            moved->reserve(hits.size());
-            for (const auto &[key, value] : hits)
-                moved->emplace_back(*routerKeyOf(*key), value);
-            std::string key;
-            for (const auto &kv : *moved) {
-                formatRedisKey(key, kv.first);
-                t = sh.redis->get(t, key);
-            }
-        } else {
-            sh.pg->forEachNodeUnordered(
-                [&](std::uint64_t id,
-                    std::span<const std::uint8_t> payload) {
-                    if (moving(id))
-                        moved->emplace_back(id, payload);
-                });
-            std::sort(moved->begin(), moved->end(),
-                      [](const auto &a, const auto &b) {
-                          return a.first < b.first;
-                      });
-            for (const auto &kv : *moved)
-                t = sh.pg->getNode(t, kv.first);
+        // The store walks in hash order; the moving subset is sorted
+        // by key text before any op is issued, so the copy replays in
+        // the same order at any thread count.
+        std::vector<std::pair<const std::string *,
+                              std::span<const std::uint8_t>>>
+            hits;
+        sh.redis->forEachUnordered(
+            [&](const std::string &key,
+                std::span<const std::uint8_t> value) {
+                const auto id = routerKeyOf(key);
+                if (id && moving(*id))
+                    hits.emplace_back(&key, value);
+            });
+        std::sort(hits.begin(), hits.end(),
+                  [](const auto &a, const auto &b) {
+                      return *a.first < *b.first;
+                  });
+        moved->reserve(hits.size());
+        for (const auto &[key, value] : hits)
+            moved->emplace_back(*routerKeyOf(*key), value);
+        std::string key;
+        for (const auto &kv : *moved) {
+            formatRedisKey(key, kv.first);
+            t = sh.redis->get(t, key);
         }
         sh.clock = t;
         const sim::Tick back =
@@ -684,12 +579,8 @@ Cluster::runStep(std::size_t step)
                 sim::Tick t = std::max(dst.clock, ddom.now());
                 std::string key;
                 for (const auto &[id, value] : *moved) {
-                    if (dst.redis) {
-                        formatRedisKey(key, id);
-                        t = dst.redis->set(t, key, value.span());
-                    } else {
-                        t = dst.pg->addNode(t, id, value.span());
-                    }
+                    formatRedisKey(key, id);
+                    t = dst.redis->set(t, key, value.span());
                 }
                 dst.clock = t;
                 const sim::Tick back2 =
@@ -710,12 +601,8 @@ Cluster::runStep(std::size_t step)
                             std::max(vic.clock, vdom.now());
                         std::string key;
                         for (const auto &kv : *moved) {
-                            if (vic.redis) {
-                                formatRedisKey(key, kv.first);
-                                t = vic.redis->del(t, key);
-                            } else {
-                                t = vic.pg->deleteNode(t, kv.first);
-                            }
+                            formatRedisKey(key, kv.first);
+                            t = vic.redis->del(t, key);
                         }
                         vic.clock = t;
                         const sim::Tick back3 = engine_.lookahead(
@@ -767,15 +654,9 @@ Cluster::stateDigest() const
 {
     Fnv f;
     for (const auto &sh : shards_) {
-        f.mix(sh->contentHash());
-        if (sh->redis) {
-            f.mix(sh->redis->commandsProcessed());
-            f.mix(sh->redis->keys());
-        } else {
-            f.mix(sh->pg->committedTxns());
-            f.mix(sh->pg->nodeCount());
-            f.mix(sh->pg->linkCount());
-        }
+        f.mix(sh->redis->contentHash());
+        f.mix(sh->redis->commandsProcessed());
+        f.mix(sh->redis->keys());
         f.mix(sh->rig.dataDevice().readsServed());
         f.mix(sh->rig.dataDevice().writesServed());
         if (const auto &follower = sh->rig.followerTwoB) {
@@ -795,15 +676,8 @@ Cluster::metricsSnapshot() const
     engine_.registerMetrics(reg, "engine");
     for (unsigned s = 0; s < cfg_.shards; ++s)
         shards_[s]->rig.registerMetrics(reg, "shard" + std::to_string(s));
-    sim::MetricsSnapshot snap = reg.snapshot();
-    // The SLO gauges live in per-shard registries (each with its own
-    // sampler); merge() is a path union, which is what carries gauges
-    // only one shard registers (e.g. the move target's inbound_keys)
-    // into the combined snapshot.
-    snap.merge(hostSloReg_->snapshot());
-    for (const auto &r : sloRegs_)
-        snap.merge(r->snapshot());
-    return snap;
+    registerSlo(reg);
+    return reg.snapshot();
 }
 
 std::string
@@ -818,21 +692,8 @@ std::string
 Cluster::sloJson() const
 {
     std::ostringstream out;
-    slo_.writeJson(out);
+    sloSeries().writeJson(out);
     return out.str();
-}
-
-std::uint64_t
-Cluster::shardContentHash(unsigned shard) const
-{
-    return shards_.at(shard)->contentHash();
-}
-
-std::uint64_t
-Cluster::shardItems(unsigned shard) const
-{
-    const Shard &sh = *shards_.at(shard);
-    return sh.redis ? sh.redis->keys() : sh.pg->nodeCount();
 }
 
 void
@@ -845,7 +706,7 @@ Cluster::verifyConsistency() const
     {
         std::uint64_t id = 0;
         unsigned shard = 0;
-        std::string key; ///< redis key text (tie-break); "" for pg
+        std::string key; ///< key text (tie-break)
         std::string what;
     };
     std::optional<Offense> worst;
@@ -892,27 +753,18 @@ Cluster::verifyConsistency() const
                 }
             }
         };
-        if (sh.redis) {
-            sh.redis->forEachUnordered(
-                [&](const std::string &key,
-                    std::span<const std::uint8_t> value) {
-                    if (const auto id = routerKeyOf(key)) {
-                        check(*id, key, value);
-                        return;
-                    }
-                    offend(~std::uint64_t(0), s, key, [&] {
-                        return "key '" + key + "' on shard " +
-                               std::to_string(s) +
-                               " is not a router key";
-                    });
+        sh.redis->forEachUnordered(
+            [&](const std::string &key,
+                std::span<const std::uint8_t> value) {
+                if (const auto id = routerKeyOf(key)) {
+                    check(*id, key, value);
+                    return;
+                }
+                offend(~std::uint64_t(0), s, key, [&] {
+                    return "key '" + key + "' on shard " +
+                           std::to_string(s) + " is not a router key";
                 });
-        } else {
-            sh.pg->forEachNodeUnordered(
-                [&](std::uint64_t id,
-                    std::span<const std::uint8_t> payload) {
-                    check(id, {}, payload);
-                });
-        }
+            });
     }
     if (worst)
         sim::panic("cluster consistency: ", worst->what);
@@ -926,8 +778,7 @@ Cluster::plantEntry(unsigned shard, std::uint64_t key,
     const sim::Tick t = std::max(sh.clock, sh.rig.domain().now());
     std::string text;
     formatRedisKey(text, key);
-    sh.clock = sh.redis ? sh.redis->set(t, text, value)
-                        : sh.pg->addNode(t, key, value);
+    sh.clock = sh.redis->set(t, text, value);
 }
 
 bool
@@ -937,21 +788,19 @@ Cluster::crashAndRecoverShard(unsigned shard)
     wal::ReplicatedWal *repl = sh.rig.repl();
     if (!repl) {
         sim::panic("crashAndRecoverShard: shard ", shard,
-                   " has no replicated WAL (wal=", walName(cfg_.wal),
+                   " has no replicated WAL (wal=",
+                   rigs::walName(cfg_.wal),
                    ")");
     }
-    const std::uint64_t before = sh.contentHash();
+    const std::uint64_t before = sh.redis->contentHash();
     // Power-cut the primary; the decorator loses its in-flight state
     // and promotes the follower as the recovery source. The cut time
     // must not precede the domain clock (the engine advanced it to
     // the run horizon), or the capacitor-dump events the power loss
     // schedules would land in the past.
     repl->crash(std::max(sh.clock, sh.rig.domain().now()));
-    if (sh.redis)
-        sh.redis->recover();
-    else
-        sh.pg->recover();
-    return sh.contentHash() == before && repl->promoted();
+    sh.redis->recover();
+    return sh.redis->contentHash() == before && repl->promoted();
 }
 
 } // namespace bssd::cluster

@@ -8,12 +8,14 @@
  *  - one host domain running a host::ShardRouter fed by an open-loop
  *    arrival process (Poisson or bursty, thousands of simulated
  *    users);
- *  - N shard domains, each miniredis or minipg over a rigs::Rig
- *    built by the rig library (src/rigs/rig.hh): a BA-WAL on a
- *    2B-SSD, a page-aligned block WAL, or a BA-WAL synchronously
- *    replicated to a follower 2B-SSD (wal::ReplicatedWal), on the
- *    GC preset that keeps incremental background GC continuously
- *    active or on the tiny crash-matrix preset;
+ *  - N shard domains, each a miniredis store (appendfsync=always)
+ *    over a rigs::Rig built by the rig library (src/rigs/rig.hh):
+ *    a single-buffered BA-WAL on a 2B-SSD, as the paper runs Redis
+ *    (Section IV-B), a page-aligned block WAL, or a single-buffered
+ *    BA-WAL synchronously replicated to a follower 2B-SSD
+ *    (wal::ReplicatedWal), on the GC preset that keeps incremental
+ *    background GC continuously active or on the tiny crash-matrix
+ *    preset;
  *  - a cluster::ShardMap routing keys by hash or by contiguous range,
  *    consulted by the router's route function on every operation.
  *
@@ -54,6 +56,7 @@
 
 #include "cluster/shard_map.hh"
 #include "host/shard_router.hh"
+#include "rigs/rig.hh"
 #include "sim/client.hh"
 #include "sim/domain.hh"
 #include "sim/engine.hh"
@@ -70,20 +73,12 @@ struct ClusterConfig
     /** Shard (device/rig) domains; the host router is one more. */
     unsigned shards = 4;
 
-    /** Store engine every shard runs. */
-    enum class Engine : std::uint8_t
-    {
-        redis, ///< miniredis, appendfsync=always
-        pg     ///< minipg, XLOG + group commit
-    } engine = Engine::redis;
-
-    /** Shard WAL flavour. */
-    enum class Wal : std::uint8_t
-    {
-        ba,    ///< BA-WAL on a 2B-SSD (single-buffered, like Redis)
-        block, ///< page-aligned block WAL with fsync
-        baRepl ///< BA-WAL replicated to a follower 2B-SSD
-    } wal = Wal::ba;
+    /**
+     * Shard WAL: rigs::WalKind::baSingle, block or baReplSingle (the
+     * constructor rejects every other kind). Redis is single-threaded,
+     * so its BA-WALs are single-buffered.
+     */
+    rigs::WalKind wal = rigs::WalKind::baSingle;
 
     /**
      * GC preset: shrink each shard's array (6 blocks/die) and run
@@ -131,11 +126,6 @@ struct ClusterConfig
     unsigned moveTo = 0;
     /** @} */
 };
-
-/** shortName for baselines/report rows ("redis", "pg"). */
-const char *engineName(ClusterConfig::Engine e);
-/** "ba", "block" or "ba_repl" (the crash-campaign cell names). */
-const char *walName(ClusterConfig::Wal w);
 
 /**
  * A sharded serving fleet on the parallel engine. Construct, run(),
@@ -200,12 +190,10 @@ class Cluster
     std::uint64_t stateDigest() const;
 
     /**
-     * Merged metrics snapshot: the engine's self-telemetry
-     * ("engine.*"), every shard's device/WAL metrics ("shardN.*") and
-     * the SLO gauges ("slo.*"), folded across the per-shard
-     * registries with MetricsSnapshot::merge — whose path UNION is
-     * what keeps gauges existing in only one shard's registry (e.g.
-     * the rebalance target's inbound-keys) in the merged result.
+     * Metrics snapshot: the engine's self-telemetry ("engine.*"),
+     * every shard's device/WAL metrics ("shardN.*") and the SLO
+     * gauges ("slo.*"), including gauges only one shard registers
+     * (the rebalance target's inbound_keys).
      */
     sim::MetricsSnapshot metricsSnapshot() const;
 
@@ -216,19 +204,17 @@ class Cluster
      * Per-shard SLO time series sampled over the run on the simulated
      * clock (DESIGN.md section 14): queue depth, WAL store bytes, GC
      * debt, sliding-window op p99 per shard, plus cluster-wide
-     * held-ops / rebalance-hold-time columns. Deterministic: merged
-     * host-first then shard-id order, pumped at fixed horizons.
+     * held-ops / rebalance-hold-time columns. Deterministic: one
+     * sampler over one registry, columns in path order, pumped at
+     * fixed horizons.
      */
-    const sim::SeriesTable &sloSeries() const { return slo_; }
+    const sim::SeriesTable &sloSeries() const
+    {
+        return sloSampler_->table();
+    }
 
-    /** sloSeries() as JSON (GaugeSampler shape). */
+    /** sloSeries() as JSON. */
     std::string sloJson() const;
-
-    /** One shard's store digest (tests compare across crashes). */
-    std::uint64_t shardContentHash(unsigned shard) const;
-
-    /** Live keys (redis) or nodes (pg) on one shard. */
-    std::uint64_t shardItems(unsigned shard) const;
 
     /**
      * Structural consistency check over the whole fleet; panics on
@@ -246,15 +232,16 @@ class Cluster
     /**
      * Fault injection for the consistency check's own tests: durably
      * write @p value under router key @p key straight into one shard's
-     * store (a SET or node add on that shard's clock), bypassing the
-     * router and the map. Call after run().
+     * store (a SET on that shard's clock), bypassing the router and
+     * the map. Call after run().
      */
     void plantEntry(unsigned shard, std::uint64_t key,
                     std::span<const std::uint8_t> value);
 
     /**
      * Power-cut the primary of a replicated shard and recover from
-     * the promoted follower (Wal::baRepl only; panics otherwise).
+     * the promoted follower (WalKind::baReplSingle only; panics
+     * otherwise).
      * @return true when the recovered store digest equals the
      *         pre-crash digest (synchronous replication: the drained
      *         fleet has no unacknowledged writes to lose).
@@ -264,13 +251,14 @@ class Cluster
     /** @} */
 
   private:
-    /** One shard: a store over a rigs::Rig, living in the rig's domain. */
+    /** One shard: miniredis over a rigs::Rig, living in the rig's
+     *  domain. */
     struct Shard;
 
     void buildShards(sim::Tracer *trace);
     host::ShardRouter::ShardExec makeExec();
-    void buildSlo();
-    void sampleSlo(sim::Tick now);
+    /** Register every SLO gauge ("slo.cluster.*", "slo.shardN.*"). */
+    void registerSlo(sim::MetricRegistry &reg) const;
     /** The rebalance's cross-domain identity (empty when untraced). */
     sim::TraceContext rebalCtx() const
     {
@@ -298,11 +286,8 @@ class Cluster
     sim::Tracer hostTracer_;
 
     /** @name SLO sampling (DESIGN.md section 14) @{ */
-    std::unique_ptr<sim::MetricRegistry> hostSloReg_;
-    std::unique_ptr<sim::GaugeSampler> hostSloSampler_;
-    std::vector<std::unique_ptr<sim::MetricRegistry>> sloRegs_;
-    std::vector<std::unique_ptr<sim::GaugeSampler>> sloSamplers_;
-    sim::SeriesTable slo_;
+    sim::MetricRegistry sloReg_;
+    std::unique_ptr<sim::GaugeSampler> sloSampler_;
     /** @} */
 
     sim::Tick horizon_ = 0;

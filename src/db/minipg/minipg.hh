@@ -150,28 +150,11 @@ class MiniPg
     std::uint64_t nextSequence() const { return seq_; }
 
     /**
-     * Visit every live node in the heap's own entry order. Same
-     * contract as MiniRedis::forEachUnordered(): the order follows
-     * the op history, not the ids, so callers may only fold the visits
-     * commutatively or select a min/max; anything order-sensitive
-     * collects and sorts. The payload spans are valid only until the
-     * next mutation.
-     */
-    template <class Fn>
-    void
-    forEachNodeUnordered(Fn &&fn) const
-    {
-        for (const auto &[id, payload] : nodes_)
-            fn(id, std::span<const std::uint8_t>(payload));
-    }
-
-    /**
      * Order-independent digest of the live dataset: the wrapping sum
      * of db::entryHash over every node (keyed by its id) and every
      * link (keyed by id1/type/id2) - the same multiset scheme as
      * MiniRedis::contentHash(), kept up to date per mutation. The
-     * cluster determinism tests compare minipg shard states across
-     * engine thread counts with it.
+     * store-ledger tests check it against a reference model.
      */
     std::uint64_t
     contentHash() const
@@ -187,8 +170,8 @@ class MiniPg
 
     // The heap is read per node id, the checkpoint image is a
     // pre-image journal (nodeLedger_) and recovery replays WAL records
-    // in log order; the only walk is forEachNodeUnordered() (DESIGN.md
-    // section 11). links_, which range scans, is a std::map.
+    // in log order; nothing walks it (DESIGN.md section 11). links_,
+    // which range scans, is a std::map.
     FlatMap<std::uint64_t, std::vector<std::uint8_t>> nodes_;
     std::map<LinkKey, std::vector<std::uint8_t>> links_;
     /** Digests + pre-images since the last checkpoint (the checkpoint

@@ -62,6 +62,8 @@ mergeValue(MetricValue &into, const MetricValue &from)
     }
 }
 
+} // namespace
+
 void
 jsonEscape(std::ostream &os, const std::string &s)
 {
@@ -77,8 +79,6 @@ jsonEscape(std::ostream &os, const std::string &s)
     }
     os << '"';
 }
-
-} // namespace
 
 void
 MetricsSnapshot::merge(const MetricsSnapshot &other)

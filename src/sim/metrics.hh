@@ -164,6 +164,10 @@ class MetricRegistry
     void insert(const std::string &path, Entry e);
 };
 
+/** Write @p s as a quoted JSON string (escapes quote, backslash,
+ *  newline and tab): the one escaper of metric and sweep reports. */
+void jsonEscape(std::ostream &os, const std::string &s);
+
 } // namespace bssd::sim
 
 #endif // BSSD_SIM_METRICS_HH

@@ -9,11 +9,12 @@ namespace bssd::sim
 {
 
 GaugeSampler::GaugeSampler(const MetricRegistry &registry, Tick period)
-    : registry_(registry), period_(period),
-      columns_(registry.gaugePaths())
+    : registry_(registry)
 {
-    if (period_ == 0)
+    if (period == 0)
         fatal("GaugeSampler period must be non-zero");
+    table_.period = period;
+    table_.columns = registry.gaugePaths();
 }
 
 void
@@ -21,84 +22,15 @@ GaugeSampler::sample(Tick now)
 {
     if (now < nextDue_)
         return;
-    Row row;
+    SeriesTable::Row row;
     row.at = now;
-    row.values.reserve(columns_.size());
-    for (const auto &path : columns_)
+    row.values.reserve(table_.columns.size());
+    for (const auto &path : table_.columns)
         row.values.push_back(registry_.gaugeValue(path));
-    rows_.push_back(std::move(row));
+    table_.rows.push_back(std::move(row));
     // Next due point is period-aligned relative to this sample, so a
     // bursty pump cannot compress the series.
-    nextDue_ = now + period_;
-}
-
-void
-GaugeSampler::writeJson(std::ostream &os, int indent) const
-{
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    os << "{\n" << pad << "  \"period_ticks\": " << period_ << ",\n"
-       << pad << "  \"columns\": [";
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-        os << (i ? ", " : "") << '"' << columns_[i] << '"';
-    }
-    os << "],\n" << pad << "  \"rows\": [";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        os << (i ? ",\n" : "\n") << pad << "    [" << rows_[i].at;
-        for (double v : rows_[i].values)
-            os << ", " << v;
-        os << "]";
-    }
-    if (rows_.empty())
-        os << "]";
-    else
-        os << "\n" << pad << "  ]";
-    os << "\n" << pad << "}";
-}
-
-void
-SeriesTable::merge(const GaugeSampler &s)
-{
-    if (period == 0)
-        period = s.period();
-    // Column union: new columns append in first-seen order and every
-    // existing row is padded with 0 for them.
-    std::vector<std::size_t> colAt(s.columns().size());
-    for (std::size_t c = 0; c < s.columns().size(); ++c) {
-        const std::string &name = s.columns()[c];
-        std::size_t idx = columns.size();
-        for (std::size_t i = 0; i < columns.size(); ++i) {
-            if (columns[i] == name) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx == columns.size()) {
-            columns.push_back(name);
-            for (Row &r : rows)
-                r.values.push_back(0.0);
-        }
-        colAt[c] = idx;
-    }
-    // Join on tick: samplers pumped from the same driver loop sample
-    // at identical ticks, so rows line up; a tick only one sampler
-    // recorded becomes its own (padded) row, kept sorted. A sampler's
-    // rows are strictly tick-ascending, so the insert point never
-    // moves back and one forward walk serves them all.
-    std::size_t pos = 0;
-    for (const GaugeSampler::Row &src : s.rows()) {
-        while (pos < rows.size() && rows[pos].at < src.at)
-            ++pos;
-        if (pos == rows.size() || rows[pos].at != src.at) {
-            Row fresh;
-            fresh.at = src.at;
-            fresh.values.assign(columns.size(), 0.0);
-            rows.insert(rows.begin() +
-                            static_cast<std::ptrdiff_t>(pos),
-                        std::move(fresh));
-        }
-        for (std::size_t c = 0; c < src.values.size(); ++c)
-            rows[pos].values[colAt[c]] = src.values[c];
-    }
+    nextDue_ = now + table_.period;
 }
 
 void
@@ -151,9 +83,6 @@ RunReport::writeJson(std::ostream &os) const
     if (series) {
         os << ",\n  \"series\": ";
         series->writeJson(os, 2);
-    } else if (mergedSeries) {
-        os << ",\n  \"series\": ";
-        mergedSeries->writeJson(os, 2);
     }
     os << "\n}\n";
 }

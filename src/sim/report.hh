@@ -32,16 +32,35 @@
 namespace bssd::sim
 {
 
-/** Periodic sampler over a registry's gauges (simulated time). */
-class GaugeSampler
+/**
+ * A gauge time series: one column per gauge path, one row per sample
+ * tick. A multi-shard run registers every shard's gauges in one
+ * registry, so its table's columns come out path-sorted.
+ */
+struct SeriesTable
 {
-  public:
     struct Row
     {
         Tick at = 0;
         std::vector<double> values;
     };
 
+    /** Simulated ticks between rows. */
+    Tick period = 0;
+    /** Gauge paths, sorted. */
+    std::vector<std::string> columns;
+    /** Rows in tick order; values index-aligned with columns. */
+    std::vector<Row> rows;
+
+    /** `{"period_ticks": ..., "columns": [...], "rows": [[at, v...],
+     *  ...]}` */
+    void writeJson(std::ostream &os, int indent = 0) const;
+};
+
+/** Periodic sampler over a registry's gauges (simulated time). */
+class GaugeSampler
+{
+  public:
     /**
      * @param registry gauge source; must outlive the sampler. The
      *                 column set is fixed at construction.
@@ -56,51 +75,13 @@ class GaugeSampler
      */
     void sample(Tick now);
 
-    const std::vector<std::string> &columns() const { return columns_; }
-    const std::vector<Row> &rows() const { return rows_; }
-    Tick period() const { return period_; }
-
-    /** `{"period": ..., "columns": [...], "rows": [[at, v...], ...]}` */
-    void writeJson(std::ostream &os, int indent = 0) const;
+    /** The rows recorded so far. */
+    const SeriesTable &table() const { return table_; }
 
   private:
     const MetricRegistry &registry_;
-    Tick period_;
     Tick nextDue_ = 0;
-    std::vector<std::string> columns_;
-    std::vector<Row> rows_;
-};
-
-/**
- * A detached, mergeable gauge time series: the union of one or more
- * GaugeSamplers. Used by multi-shard runs where each shard samples
- * its own registry — merge() is a COLUMN UNION joined on sample tick,
- * so a gauge path that exists in only one shard's registry (e.g. the
- * rebalance target's inbound-keys gauge) survives the merge instead
- * of being dropped; rows missing a column carry 0. Merging samplers
- * in a fixed order (host, then shard id order) keeps the table — and
- * its JSON — a pure function of the run.
- */
-struct SeriesTable
-{
-    struct Row
-    {
-        Tick at = 0;
-        std::vector<double> values;
-    };
-
-    /** Period of the first merged sampler (informational). */
-    Tick period = 0;
-    /** Union of merged column sets, in first-seen order. */
-    std::vector<std::string> columns;
-    /** Rows sorted by tick; values index-aligned with columns. */
-    std::vector<Row> rows;
-
-    /** Fold @p s into the table (column union, rows joined on tick). */
-    void merge(const GaugeSampler &s);
-
-    /** Same shape as GaugeSampler::writeJson. */
-    void writeJson(std::ostream &os, int indent = 0) const;
+    SeriesTable table_;
 };
 
 /** End-of-run machine-readable report. */
@@ -115,10 +96,7 @@ struct RunReport
     MetricsSnapshot metrics;
     std::vector<Tracer::PhaseStat> phases;
     /** Optional gauge time series; null when none was sampled. */
-    const GaugeSampler *series = nullptr;
-    /** Optional merged multi-sampler series (cluster runs); emitted
-     *  as "series" when `series` itself is null. */
-    const SeriesTable *mergedSeries = nullptr;
+    const SeriesTable *series = nullptr;
 
     /**
      * Emit the report as one JSON object with stable field order:

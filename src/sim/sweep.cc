@@ -6,6 +6,8 @@
 #include <ostream>
 #include <thread>
 
+#include "sim/metrics.hh"
+
 namespace bssd::sim
 {
 
@@ -60,27 +62,6 @@ runParallel(const std::vector<std::function<void()>> &jobs,
     if (firstError)
         std::rethrow_exception(firstError);
 }
-
-namespace
-{
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default: os << c;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 void
 writeSweepJson(std::ostream &os, const std::vector<SweepRecord> &records,

@@ -5,9 +5,10 @@
  * A thin, result-oriented wrapper over the first-class
  * cluster::Cluster subsystem (src/cluster), configured by the one
  * cluster::ClusterConfig: one host domain runs a ShardRouter; N shard
- * domains each own a store over a rigs::Rig (miniredis or minipg over
- * a BA-WAL on a 2B-SSD, a block WAL with fsync, or a BA-WAL
- * replicated to a follower device). The benches, sweep harness, and
+ * domains each own a miniredis store over a rigs::Rig (a
+ * single-buffered BA-WAL on a 2B-SSD, a block WAL with fsync, or a
+ * single-buffered BA-WAL replicated to a follower device). The
+ * benches, sweep harness, and
  * determinism tests all drive cluster runs through this one function,
  * so every caller gets the same construction, the same drain loop,
  * and the same built-in consistency check.

@@ -24,6 +24,7 @@ using namespace bssd;
 using cluster::Cluster;
 using cluster::ClusterConfig;
 using cluster::Sharding;
+using rigs::WalKind;
 
 namespace
 {
@@ -130,11 +131,11 @@ TEST(Cluster, RebalanceToTheCurrentOwnerIsANoOp)
     c.verifyConsistency();
 }
 
-TEST(Cluster, PgEngineServesAndRebalances)
+TEST(Cluster, RangeShardedBlockWalFleetServesAndRebalances)
 {
+    // The move's copy and purge hops ride fsync'd block-WAL commits.
     ClusterConfig cfg = rebalancingFleet(Sharding::range);
-    cfg.engine = ClusterConfig::Engine::pg;
-    cfg.wal = ClusterConfig::Wal::block;
+    cfg.wal = WalKind::block;
     Cluster c(cfg);
     c.run();
 
@@ -212,7 +213,7 @@ TEST(Cluster, QueueGatingWaitIsTracedAsQueueSpans)
 TEST(Cluster, ReplicatedShardsSurviveAPrimaryPowerCut)
 {
     ClusterConfig cfg = smallFleet();
-    cfg.wal = ClusterConfig::Wal::baRepl;
+    cfg.wal = WalKind::baReplSingle;
     Cluster c(cfg);
     c.run();
 
@@ -232,7 +233,7 @@ TEST(Cluster, ReplicatedShardsSurviveAPrimaryPowerCut)
 TEST(Cluster, ReplicatedRebalancingFleetStaysRecoverable)
 {
     ClusterConfig cfg = rebalancingFleet(Sharding::hash);
-    cfg.wal = ClusterConfig::Wal::baRepl;
+    cfg.wal = WalKind::baReplSingle;
     Cluster c(cfg);
     c.run();
 
@@ -341,8 +342,8 @@ TEST(Cluster, TraceAndSloSeriesAreStableAcrossThreadCounts)
 
 TEST(Cluster, SnapshotCarriesEngineAndOneSidedSloMetrics)
 {
-    // The merged snapshot keeps the engine's self-telemetry and the
-    // one-sided inbound_keys gauge (registered only on the rebalance
+    // The snapshot keeps the engine's self-telemetry and the
+    // one-sided inbound_keys gauge (registered only for the rebalance
     // target) without dropping or double-counting either.
     ClusterConfig cfg = rebalancingFleet(Sharding::hash);
     Cluster c(cfg);
@@ -387,56 +388,43 @@ TEST(Cluster, ConstructionMatchesGoldenDigests)
     // Every shard flavour's construction pinned against recorded
     // values: a drifted device preset, WAL geometry, buffering mode or
     // metric prefix changes the state digest or the metrics bytes.
-    // Recorded from the hand-built shards that preceded the rig
-    // library; the table must never be edited to make it pass.
-    using Engine = ClusterConfig::Engine;
-    using Wal = ClusterConfig::Wal;
+    // Digests and metrics hashes were recorded from the hand-built
+    // shards that preceded the rig library, SLO series hashes from the
+    // per-shard samplers that preceded the one SLO registry; the table
+    // must never be edited to make it pass.
     struct Golden
     {
-        Engine engine;
-        Wal wal;
+        WalKind wal;
         bool gc;
         std::uint64_t digest;
         std::uint64_t metricsHash;
+        std::uint64_t sloHash;
     };
     const Golden table[] = {
-        {Engine::redis, Wal::ba, true,
-         0xb59cf1c228cfa26f, 0x2d28d0a411461753},
-        {Engine::redis, Wal::ba, false,
-         0xb59cf1c228cfa26f, 0x4d8560ec27bc61d3},
-        {Engine::redis, Wal::block, true,
-         0x6a2898a79bc22ac4, 0xbaf2f11e7c609f94},
-        {Engine::redis, Wal::block, false,
-         0x6a2898a79bc22ac4, 0xaaecc0c9d35b24d0},
-        {Engine::redis, Wal::baRepl, true,
-         0xee91ea63e18d326f, 0x012e422983168d6b},
-        {Engine::redis, Wal::baRepl, false,
-         0xee91ea63e18d326f, 0x62644fa40eb66d55},
-        {Engine::pg, Wal::ba, true,
-         0x229cc6532e1267a8, 0x40072fdc14848232},
-        {Engine::pg, Wal::ba, false,
-         0x229cc6532e1267a8, 0x5413cc5f9c54737a},
-        {Engine::pg, Wal::block, true,
-         0xc6ceaa4ceab19233, 0xac230f3fa2aa1418},
-        {Engine::pg, Wal::block, false,
-         0xc6ceaa4ceab19233, 0x3318f4b2fdcd7766},
-        {Engine::pg, Wal::baRepl, true,
-         0x04c322724e901f28, 0x9220a914f0b789a3},
-        {Engine::pg, Wal::baRepl, false,
-         0x04c322724e901f28, 0xfd4ce4598f3745f9},
+        {WalKind::baSingle, true,
+         0xb59cf1c228cfa26f, 0x2d28d0a411461753, 0x3aa3df831df1c485},
+        {WalKind::baSingle, false,
+         0xb59cf1c228cfa26f, 0x4d8560ec27bc61d3, 0x3aa3df831df1c485},
+        {WalKind::block, true,
+         0x6a2898a79bc22ac4, 0xbaf2f11e7c609f94, 0x57d8876892c375ab},
+        {WalKind::block, false,
+         0x6a2898a79bc22ac4, 0xaaecc0c9d35b24d0, 0x57d8876892c375ab},
+        {WalKind::baReplSingle, true,
+         0xee91ea63e18d326f, 0x012e422983168d6b, 0xbb959f0a7749ead8},
+        {WalKind::baReplSingle, false,
+         0xee91ea63e18d326f, 0x62644fa40eb66d55, 0xbb959f0a7749ead8},
     };
     for (const Golden &g : table) {
-        SCOPED_TRACE(std::string(cluster::engineName(g.engine)) + " x " +
-                     cluster::walName(g.wal) +
+        SCOPED_TRACE(std::string(rigs::walName(g.wal)) +
                      (g.gc ? " gc=on" : " gc=off"));
         ClusterConfig cfg = smallFleet();
-        cfg.engine = g.engine;
         cfg.wal = g.wal;
         cfg.gc = g.gc;
         Cluster c(cfg);
         c.run();
         EXPECT_EQ(c.stateDigest(), g.digest);
         EXPECT_EQ(fnv1a(c.metricsJson()), g.metricsHash);
+        EXPECT_EQ(fnv1a(c.sloJson()), g.sloHash);
     }
 }
 
@@ -454,6 +442,15 @@ TEST(Cluster, RejectsBadConfigurations)
     badInterval.moveBegin256 = 64;
     badInterval.moveEnd256 = 64;
     EXPECT_THROW(Cluster c(badInterval), sim::SimFatal);
+
+    // Shards run single-buffered BA-WALs, block WALs or replicated
+    // single-buffered BA-WALs; every other rig kind is refused.
+    for (WalKind wal : {WalKind::ba, WalKind::pm}) {
+        SCOPED_TRACE(rigs::walName(wal));
+        ClusterConfig badWal = smallFleet();
+        badWal.wal = wal;
+        EXPECT_THROW(Cluster c(badWal), sim::SimFatal);
+    }
 }
 
 namespace
@@ -523,36 +520,30 @@ TEST(Cluster, VerifyNamesTheSmallestMisplacedKey)
 
 TEST(Cluster, VerifyNamesTheSmallestCorruptPayload)
 {
-    for (auto engine :
-         {ClusterConfig::Engine::redis, ClusterConfig::Engine::pg}) {
-        SCOPED_TRACE(cluster::engineName(engine));
-        ClusterConfig cfg = smallFleet();
-        cfg.engine = engine;
-        // Corrupt the smallest key on the LAST shard, and larger keys
-        // on every other shard: a first-found walk in shard order
-        // would name one of the larger ones.
-        const Cluster probe(cfg);
-        std::vector<std::tuple<std::uint64_t, int, bool>> plants;
-        std::set<unsigned> covered;
-        for (std::uint64_t k = 30; k < cfg.keySpace; ++k) {
-            const unsigned owner = probe.map().shardOf(k);
-            if (plants.empty() ? owner == cfg.shards - 1
-                               : !covered.contains(owner)) {
-                covered.insert(owner);
-                plants.emplace_back(k, plants.empty() ? 9 : 2, false);
-            }
+    const ClusterConfig cfg = smallFleet();
+    // Corrupt the smallest key on the LAST shard, and larger keys on
+    // every other shard: a first-found walk in shard order would name
+    // one of the larger ones.
+    const Cluster probe(cfg);
+    std::vector<std::tuple<std::uint64_t, int, bool>> plants;
+    std::set<unsigned> covered;
+    for (std::uint64_t k = 30; k < cfg.keySpace; ++k) {
+        const unsigned owner = probe.map().shardOf(k);
+        if (plants.empty() ? owner == cfg.shards - 1
+                           : !covered.contains(owner)) {
+            covered.insert(owner);
+            plants.emplace_back(k, plants.empty() ? 9 : 2, false);
         }
-        ASSERT_EQ(plants.size(), cfg.shards);
-        const std::uint64_t smallest = std::get<0>(plants.front());
-        const std::string serial = verifyTextAfterPlanting(cfg, 1, plants);
-        EXPECT_EQ(serial, "panic: cluster consistency: key " +
-                              std::to_string(smallest) + " on shard " +
-                              std::to_string(cfg.shards - 1) +
-                              " has corrupt payload byte 9");
-        for (unsigned threads : {2u, 8u})
-            EXPECT_EQ(verifyTextAfterPlanting(cfg, threads, plants),
-                      serial);
     }
+    ASSERT_EQ(plants.size(), cfg.shards);
+    const std::uint64_t smallest = std::get<0>(plants.front());
+    const std::string serial = verifyTextAfterPlanting(cfg, 1, plants);
+    EXPECT_EQ(serial, "panic: cluster consistency: key " +
+                          std::to_string(smallest) + " on shard " +
+                          std::to_string(cfg.shards - 1) +
+                          " has corrupt payload byte 9");
+    for (unsigned threads : {2u, 8u})
+        EXPECT_EQ(verifyTextAfterPlanting(cfg, threads, plants), serial);
 }
 
 TEST(Cluster, VerifyFlagsKeysOutsideTheKeySpace)

@@ -228,34 +228,28 @@ TEST(MetricsSnapshot, SweepWorkerMergeIsDeterministic)
     EXPECT_EQ(fold(), fold());
 }
 
-TEST(SeriesTable, ColumnUnionJoinedOnTickPadsWithZero)
+TEST(GaugeSampler, OneRegistryKeepsOneSidedColumnsInPathOrder)
 {
-    // Two shard registries with one shared and one one-sided gauge
-    // (the rebalance target's inbound-keys column): the merged table
-    // must keep the union and pad missing cells with 0, not drop the
-    // one-sided column.
+    // Two shards' gauges in one registry, one of them one-sided (the
+    // rebalance target's inbound-keys column): the sampler's columns
+    // are the registry's sorted gauge paths, so inbound_keys lands
+    // before queue_depth for shard1 and no column is dropped.
     double q0 = 0.0, q1 = 0.0, inbound = 0.0;
-    MetricRegistry r0, r1;
-    r0.addGauge("slo.shard0.queue_depth", [&] { return q0; });
-    r1.addGauge("slo.shard1.queue_depth", [&] { return q1; });
-    r1.addGauge("slo.shard1.inbound_keys", [&] { return inbound; });
+    MetricRegistry reg;
+    reg.addGauge("slo.shard1.queue_depth", [&] { return q1; });
+    reg.addGauge("slo.shard1.inbound_keys", [&] { return inbound; });
+    reg.addGauge("slo.shard0.queue_depth", [&] { return q0; });
 
-    GaugeSampler s0(r0, 100), s1(r1, 100);
+    GaugeSampler s(reg, 100);
     q0 = 3;
     q1 = 5;
     inbound = 7;
-    s0.sample(0);
-    s1.sample(0);
+    s.sample(0);
     q0 = 4;
     inbound = 9;
-    s0.sample(100);
-    s1.sample(100);
+    s.sample(100);
 
-    SeriesTable table;
-    table.merge(s0);
-    table.merge(s1);
-    // Each sampler contributes its gauge paths in sorted registry
-    // order, so inbound_keys lands before queue_depth for shard1.
+    const SeriesTable &table = s.table();
     ASSERT_EQ(table.columns.size(), 3u);
     EXPECT_EQ(table.columns[0], "slo.shard0.queue_depth");
     EXPECT_EQ(table.columns[1], "slo.shard1.inbound_keys");
@@ -268,35 +262,40 @@ TEST(SeriesTable, ColumnUnionJoinedOnTickPadsWithZero)
     EXPECT_EQ(table.period, 100u);
 }
 
-TEST(SeriesTable, OneSidedSampleTicksSurviveTheJoin)
+TEST(GaugeSampler, RowsLandOnlyWhenDue)
 {
-    // A sampler that recorded rows at ticks the other never saw (a
-    // shard built mid-run): the union keeps every tick, padding the
-    // absent sampler's columns with 0.
-    double a = 1.0, b = 2.0;
-    MetricRegistry ra, rb;
-    ra.addGauge("slo.a", [&] { return a; });
-    rb.addGauge("slo.b", [&] { return b; });
-    GaugeSampler sa(ra, 100), sb(rb, 200);
-    sa.sample(0);
-    sa.sample(100);
-    sb.sample(0);
-    sb.sample(200);
+    // A pump that crosses the due point late records one row at the
+    // pump's tick and re-arms a full period after it; pumps before
+    // the due point record nothing.
+    double a = 1.0;
+    MetricRegistry reg;
+    reg.addGauge("slo.a", [&] { return a; });
+    GaugeSampler s(reg, 100);
+    s.sample(0);
+    a = 2.0;
+    s.sample(50);
+    s.sample(130);
+    a = 3.0;
+    s.sample(229);
+    s.sample(230);
 
-    SeriesTable table;
-    table.merge(sa);
-    table.merge(sb);
-    ASSERT_EQ(table.rows.size(), 3u); // ticks 0, 100, 200
-    EXPECT_EQ(table.rows[0].values, (std::vector<double>{1, 2}));
-    EXPECT_EQ(table.rows[1].values, (std::vector<double>{1, 0}));
-    EXPECT_EQ(table.rows[2].values, (std::vector<double>{0, 2}));
+    const SeriesTable &table = s.table();
+    ASSERT_EQ(table.rows.size(), 3u);
+    EXPECT_EQ(table.rows[0].at, 0u);
+    EXPECT_EQ(table.rows[1].at, 130u);
+    EXPECT_EQ(table.rows[2].at, 230u);
+    EXPECT_EQ(table.rows[1].values, (std::vector<double>{2}));
+    EXPECT_EQ(table.rows[2].values, (std::vector<double>{3}));
 
     // Serialization is a pure function of the table.
     std::ostringstream o1, o2;
     table.writeJson(o1);
     table.writeJson(o2);
     EXPECT_EQ(o1.str(), o2.str());
-    EXPECT_NE(o1.str().find("\"columns\""), std::string::npos);
+    EXPECT_EQ(o1.str(), "{\n  \"period_ticks\": 100,\n"
+                        "  \"columns\": [\"slo.a\"],\n"
+                        "  \"rows\": [\n    [0, 1],\n    [130, 2],\n"
+                        "    [230, 3]\n  ]\n}");
 }
 
 TEST(MetricsSnapshot, WriteJsonShape)

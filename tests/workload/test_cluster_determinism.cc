@@ -63,6 +63,7 @@ expectIdentical(const ClusterRun &a, const ClusterRun &b, const char *label)
     EXPECT_EQ(a.res.rebalances, b.res.rebalances);
     EXPECT_EQ(a.res.movedKeys, b.res.movedKeys);
     EXPECT_EQ(a.res.metricsJson, b.res.metricsJson);
+    EXPECT_EQ(a.res.sloSeriesJson, b.res.sloSeriesJson);
     EXPECT_EQ(a.chromeJson, b.chromeJson);
 }
 
@@ -82,7 +83,7 @@ smallCluster()
 TEST(ClusterDeterminism, BaWalGcRigIdenticalAcrossThreadCounts)
 {
     ClusterConfig cfg = smallCluster();
-    cfg.wal = ClusterConfig::Wal::ba;
+    cfg.wal = rigs::WalKind::baSingle;
 
     const ClusterRun serial = runAt(cfg, 1);
     ASSERT_GT(serial.res.opsCompleted, 0u);
@@ -97,7 +98,7 @@ TEST(ClusterDeterminism, BaWalGcRigIdenticalAcrossThreadCounts)
 TEST(ClusterDeterminism, BlockWalRigIdenticalAcrossThreadCounts)
 {
     ClusterConfig cfg = smallCluster();
-    cfg.wal = ClusterConfig::Wal::block;
+    cfg.wal = rigs::WalKind::block;
 
     const ClusterRun serial = runAt(cfg, 1);
     ASSERT_GT(serial.res.opsCompleted, 0u);
@@ -174,7 +175,7 @@ TEST(ClusterDeterminism, ReplicatedWalIdenticalAcrossThreadCounts)
     // Replication ships records inside each shard's domain, so the
     // follower traffic must not perturb the cross-domain schedule.
     ClusterConfig cfg = smallCluster();
-    cfg.wal = ClusterConfig::Wal::baRepl;
+    cfg.wal = rigs::WalKind::baReplSingle;
 
     const ClusterRun serial = runAt(cfg, 1);
     ASSERT_EQ(serial.res.opsCompleted, serial.res.opsRouted);
@@ -183,12 +184,11 @@ TEST(ClusterDeterminism, ReplicatedWalIdenticalAcrossThreadCounts)
     expectIdentical(runAt(cfg, 8), serial, "8 threads vs serial");
 }
 
-TEST(ClusterDeterminism, PgBurstyArrivalsIdenticalAcrossThreadCounts)
+TEST(ClusterDeterminism, BurstyArrivalsIdenticalAcrossThreadCounts)
 {
-    // The other store engine and the other arrival process in one
-    // cell: minipg shards fed by bursty cycle starts.
+    // The other arrival process: shards fed by bursty cycle starts
+    // with no queue-pair gating.
     ClusterConfig cfg = smallCluster();
-    cfg.engine = ClusterConfig::Engine::pg;
     cfg.arrival.kind = sim::ArrivalSpec::Kind::bursty;
     cfg.arrival.burstSize = 4;
     cfg.arrival.burstGap = sim::usOf(10);
