@@ -19,16 +19,13 @@
  * an afterthought). Emits BENCH_cluster.json (see baselines/) with
  * cluster throughput and p50/p99/p99.9 per-op latency.
  *
- * Usage: bench_cluster [--small] [--threads=N] [--queues=N]
- *                      [--qdepth=N] [--out=FILE] [--json=FILE]
- *                      [--wall=FILE] [--trace=FILE]
+ * Usage: bench_cluster [--small] [--threads=N] [--out=FILE]
+ *                      [--json=FILE] [--wall=FILE] [--trace=FILE]
  *   --small        CI preset: same 8-shard shape, ~3k ops, traced
  *   --threads=N    run every mix at exactly N engine threads (skips
  *                  the 1/2/4/8 identity sweep; CI runs this at 1, 2, 4
  *                  and 8 threads and cmp's the --out, --json and
  *                  --trace files against the 1-thread ones)
- *   --queues=N     host NVMe I/O queue pairs per shard (default 1)
- *   --qdepth=N     batches each pair admits; 0 = unbounded (default)
  *   --out=FILE     deterministic artifact of the run (digests,
  *                  counters, metrics; no wall clock, no thread count)
  *   --json=FILE    BENCH_cluster.json summary (default when neither
@@ -79,7 +76,8 @@ struct Mix
  * key draws, the expected distinct-user count is
  * 2M * (1 - e^(-2.1/2)) ~ 1.3M; the bench asserts >= 1M.
  * The GC preset is off: the fleet-scale question here is scheduling,
- * not GC (bench_sweep covers GC-active cluster cells).
+ * not GC (and no cluster workload in the tree makes GC run, see
+ * ClusterConfig::gc).
  */
 ClusterConfig
 fullFleet()
@@ -309,8 +307,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i)
         small = small || std::string(argv[i]) == "--small";
     const std::string threadsFlag = stringArg(argc, argv, "--threads");
-    const std::string queuesFlag = stringArg(argc, argv, "--queues");
-    const std::string qdepthFlag = stringArg(argc, argv, "--qdepth");
     const std::string outPath = stringArg(argc, argv, "--out");
     std::string jsonPath = stringArg(argc, argv, "--json");
     std::string wallPath = stringArg(argc, argv, "--wall");
@@ -321,21 +317,7 @@ main(int argc, char **argv)
             wallPath = "BENCH_cluster_wall.json";
     }
 
-    std::vector<Mix> mixes = makeMixes(small);
-    if (!queuesFlag.empty() || !qdepthFlag.empty()) {
-        // Multi-queue host frontend: gate each shard's batches behind
-        // N bounded queue pairs instead of the unbounded default.
-        for (Mix &mix : mixes) {
-            if (!queuesFlag.empty()) {
-                mix.cfg.queuePairs = static_cast<std::uint16_t>(
-                    std::max(1ul, std::stoul(queuesFlag)));
-            }
-            if (!qdepthFlag.empty()) {
-                mix.cfg.queueDepth = static_cast<std::uint16_t>(
-                    std::stoul(qdepthFlag));
-            }
-        }
-    }
+    const std::vector<Mix> mixes = makeMixes(small);
     banner("cluster", std::string("sharded serving at scale (") +
                           (small ? "small CI preset" : "1M+ users") +
                           ")");

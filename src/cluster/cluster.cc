@@ -164,12 +164,9 @@ Cluster::Cluster(const ClusterConfig &cfg, sim::Tracer *trace)
     rc.opsPerCycle = cfg_.opsPerCycle;
     rc.cycles = cfg_.cycles;
     rc.arrival = cfg_.arrival;
-    rc.setFraction = cfg_.setFraction;
     rc.keySpace = cfg_.keySpace;
     rc.valueBytes = cfg_.valueBytes;
     rc.seed = cfg_.seed;
-    rc.queuePairs = cfg_.queuePairs;
-    rc.queueDepth = cfg_.queueDepth;
     // The channel contract: requests ride a posted doorbell write,
     // completions an interrupt; the lookaheads are exactly those
     // minimum latencies.

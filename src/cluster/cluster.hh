@@ -7,14 +7,14 @@
  *
  *  - one host domain running a host::ShardRouter fed by an open-loop
  *    arrival process (Poisson or bursty, thousands of simulated
- *    users);
+ *    users), which posts every batch the tick it is formed;
  *  - N shard domains, each a miniredis store (appendfsync=always)
  *    over a rigs::Rig built by the rig library (src/rigs/rig.hh):
  *    a single-buffered BA-WAL on a 2B-SSD, as the paper runs Redis
  *    (Section IV-B), a page-aligned block WAL, or a single-buffered
  *    BA-WAL synchronously replicated to a follower 2B-SSD
- *    (wal::ReplicatedWal), on the GC preset that keeps incremental
- *    background GC continuously active or on the tiny crash-matrix
+ *    (wal::ReplicatedWal), on the GC preset (a shrunken array with
+ *    incremental background GC enabled) or on the tiny crash-matrix
  *    preset;
  *  - a cluster::ShardMap routing keys by hash or by contiguous range,
  *    consulted by the router's route function on every operation.
@@ -81,9 +81,11 @@ struct ClusterConfig
     rigs::WalKind wal = rigs::WalKind::baSingle;
 
     /**
-     * GC preset: shrink each shard's array (6 blocks/die) and run
-     * incremental background GC with partial relocation steps, so the
-     * op stream wraps the WAL region and keeps GC continuously active.
+     * GC preset: shrink each shard's array (6 blocks/die) and enable
+     * incremental background GC with partial relocation steps. The
+     * workloads in the tree never fill a block on it: a shard programs
+     * a handful of pages and GC never runs (ftl.gc.steps and
+     * nand.blocks_erased stay 0).
      */
     bool gc = true;
 
@@ -98,15 +100,10 @@ struct ClusterConfig
     std::uint64_t cycles = 48;
     /** Open-loop arrival process of cycle starts. */
     sim::ArrivalSpec arrival;
-    double setFraction = 0.7;
     /** Keys = simulated users; drawn uniformly from [0, keySpace). */
     std::uint64_t keySpace = 512;
     std::uint32_t valueBytes = 96;
     std::uint64_t seed = 1;
-    /** Host I/O queue pairs per shard (host::RouterConfig). */
-    std::uint16_t queuePairs = 1;
-    /** Batches each pair admits; 0 = unbounded (no queue gating). */
-    std::uint16_t queueDepth = 0;
     /** @} */
 
     /** @name Online rebalance @{ */

@@ -36,11 +36,6 @@ ShardRouter::ShardRouter(const RouterConfig &cfg,
       touched_(cfg.keySpace, false),
       buckets_(shards_.size()),
       outstanding_(shards_.size(), 0),
-      pending_(shards_.size()),
-      qpInflight_(shards_.size(),
-                  std::vector<std::uint32_t>(
-                      std::max<std::uint16_t>(1, cfg.queuePairs), 0)),
-      qpCursor_(shards_.size(), 0),
       latWindow_(shards_.size()),
       latWindowPos_(shards_.size(), 0)
 {
@@ -48,8 +43,8 @@ ShardRouter::ShardRouter(const RouterConfig &cfg,
         sim::panic("ShardRouter needs at least one shard");
     if (!exec_)
         sim::panic("ShardRouter needs a shard executor");
-    if (cfg_.queuePairs == 0)
-        sim::panic("ShardRouter needs at least one queue pair");
+    if (!route_)
+        sim::panic("ShardRouter needs a route function");
     host_.adopt(this, sizeof(*this), "host.router");
 }
 
@@ -67,18 +62,10 @@ ShardRouter::start()
     host_.queue().schedule(arrivals_.next(), [this] { cycle(); });
 }
 
-void
-ShardRouter::setRoute(RouteFn route)
-{
-    route_ = std::move(route);
-}
-
 unsigned
 ShardRouter::routeOf(const RouterOp &op) const
 {
-    const unsigned s =
-        route_ ? route_(op)
-               : static_cast<unsigned>(op.key % shards_.size());
+    const unsigned s = route_(op);
     if (s >= shards_.size())
         sim::panic("ShardRouter: route function returned shard ", s,
                    " of ", shards_.size());
@@ -117,7 +104,7 @@ ShardRouter::cycle()
     for (std::uint32_t i = 0; i < cfg_.opsPerCycle; ++i) {
         RouterOp op;
         op.key = rng_.nextBelow(cfg_.keySpace);
-        if (rng_.chance(cfg_.setFraction)) {
+        if (rng_.chance(kSetFraction)) {
             op.kind = RouterOp::Kind::set;
             op.valueBytes = static_cast<std::uint32_t>(rng_.nextRange(
                 cfg_.valueBytes / 2 + 1, cfg_.valueBytes));
@@ -170,59 +157,14 @@ ShardRouter::releaseHeld()
     flushBuckets();
 }
 
-std::size_t
-ShardRouter::pickQueue(unsigned shard)
-{
-    if (cfg_.queueDepth == 0)
-        return 0; // gating off: pair 0 absorbs everything
-    std::vector<std::uint32_t> &qps = qpInflight_[shard];
-    for (std::size_t tried = 0; tried < qps.size(); ++tried) {
-        const std::size_t q = (qpCursor_[shard] + tried) % qps.size();
-        if (qps[q] < cfg_.queueDepth) {
-            qpCursor_[shard] = (q + 1) % qps.size();
-            return q;
-        }
-    }
-    return kNoQueue;
-}
-
 void
 ShardRouter::dispatch(unsigned shard, std::vector<RouterOp> ops)
-{
-    const std::size_t qp = pickQueue(shard);
-    if (qp == kNoQueue) {
-        // Every pair is at depth. Park the batch; the completion that
-        // frees a slot posts it. Parking requires a batch in flight on
-        // this shard, so a completion always arrives to un-park it.
-        ++batchesQueued_;
-        pending_[shard].push_back({host_.now(), std::move(ops)});
-        return;
-    }
-    dispatchOn(shard, qp, host_.now(), std::move(ops));
-}
-
-void
-ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
-                        sim::Tick offered, std::vector<RouterOp> ops)
 {
     BSSD_OWN_GUARD(this);
     const sim::Tick dispatched = host_.now();
     opsRouted_ += ops.size();
     ++batchesDispatched_;
     ++outstanding_[shard];
-    if (cfg_.queueDepth != 0)
-        ++qpInflight_[shard][qp];
-    // Time spent parked behind full queue pairs is charged to the
-    // router layer, one child span per op, like the rebalance hold.
-    if (dispatched > offered && tracer_ != nullptr) {
-        for (const RouterOp &op : ops) {
-            if (op.trace != 0) {
-                tracer_->recordSpan("router", "queue", offered,
-                                    dispatched,
-                                    sim::TraceContext{op.trace, op.gid});
-            }
-        }
-    }
     // Tracing identities ride to the completion handler (which runs
     // back in the host domain and records the request spans there);
     // the vector stays empty — and costs nothing — when untraced.
@@ -240,7 +182,7 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
     // around each op's spans inside the executor (DESIGN.md sec 16)
     host_.post(
         *shards_[shard], dispatched + cfg_.requestLatency,
-        [this, shard, qp, offered, dispatched, ops = std::move(ops),
+        [this, shard, dispatched, ops = std::move(ops),
          tags = std::move(tags)] {
             sim::Domain &dom = *shards_[shard];
             const sim::Tick start = dom.now();
@@ -253,21 +195,20 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
             }
             const sim::Tick done =
                 std::max(finish, start) + cfg_.completionLatency;
-            // Host-observed per-op latency: batch formation (queueing
-            // delay included) to the op's completion arriving with the
-            // batch interrupt.
+            // Host-observed per-op latency: dispatch to the op's
+            // completion arriving with the batch interrupt.
             std::vector<sim::Tick> lat;
             lat.reserve(opDone.size());
             for (sim::Tick d : opDone) {
                 lat.push_back(std::max(d, start) +
-                              cfg_.completionLatency - offered);
+                              cfg_.completionLatency - dispatched);
             }
             const auto count = static_cast<std::uint64_t>(ops.size());
             // bssd-lint: allow(own-post-ctx-missing) the completion
             // interrupt covers the whole batch; per-op identities
             // return via the same OpTag vector (DESIGN.md sec 16)
             dom.post(host_, done,
-                     [this, shard, qp, offered, dispatched, done, count,
+                     [this, shard, dispatched, done, count,
                       lat = std::move(lat), tags = std::move(tags)] {
                          // Delivered into the host domain: the guard
                          // proves the completion interrupt crossed
@@ -276,7 +217,7 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
                          opsCompleted_ += count;
                          ++batchesCompleted_;
                          --outstanding_[shard];
-                         latency_.record(done - offered);
+                         latency_.record(done - dispatched);
                          for (sim::Tick l : lat) {
                              opLatency_.record(l);
                              recordLatency(shard, l);
@@ -291,7 +232,7 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
                              if (t.trace == 0 || tracer_ == nullptr)
                                  continue;
                              const sim::Tick arrival =
-                                 offered + lat[i];
+                                 dispatched + lat[i];
                              tracer_->recordSpan(
                                  "router",
                                  t.kind == RouterOp::Kind::set
@@ -307,20 +248,6 @@ ShardRouter::dispatchOn(unsigned shard, std::size_t qp,
                                  arrival - cfg_.completionLatency,
                                  arrival,
                                  sim::TraceContext{t.trace, t.gid});
-                         }
-                         // The freed slot immediately admits the
-                         // oldest parked batch, if any — the router's
-                         // analogue of the SQ doorbell ringing the
-                         // moment a CQE is reaped.
-                         if (cfg_.queueDepth != 0) {
-                             --qpInflight_[shard][qp];
-                             if (!pending_[shard].empty()) {
-                                 PendingBatch pb = std::move(
-                                     pending_[shard].front());
-                                 pending_[shard].pop_front();
-                                 dispatchOn(shard, qp, pb.offered,
-                                            std::move(pb.ops));
-                             }
                          }
                      });
         });

@@ -14,13 +14,18 @@
  * reports every operation's finish tick, and posts the completion
  * back, paying the completion/interrupt delivery cost.
  *
+ * There is one dispatch path: a batch is posted the tick it is
+ * formed, with no host-side admission limit. NVMe queue-pair
+ * arbitration is the device's business (ssd::NvmeMultiQueue), not the
+ * router's.
+ *
  * Rebalance support: a hold predicate parks operations whose key is
- * mid-move in a host-side queue instead of dispatching them;
- * releaseHeld() re-routes the parked operations (through the
- * possibly-updated route function) once the map has flipped. A cycle
- * hook and per-shard outstanding counters give the cluster the
- * deterministic "start the move at cycle C" and "victim drained"
- * signals it needs.
+ * mid-move in a host-side queue (the router's only one) instead of
+ * dispatching them; releaseHeld() re-routes the parked operations
+ * (through the route function, which reads the flipped map) and
+ * dispatches them. A cycle hook and per-shard outstanding counters
+ * give the cluster the deterministic "start the move at cycle C" and
+ * "victim drained" signals it needs.
  *
  * All router state is partitioned by domain: generation state (RNG,
  * arrival clock, dispatch counters) is touched only by host-domain
@@ -32,7 +37,6 @@
 #define BSSD_HOST_SHARD_ROUTER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -80,8 +84,6 @@ struct RouterConfig
     std::uint64_t cycles = 48;
     /** Open-loop arrival process of cycle starts. */
     sim::ArrivalSpec arrival;
-    /** Fraction of SET commands (the rest are GETs). */
-    double setFraction = 0.7;
     /** Keys are drawn uniformly from [0, keySpace). */
     std::uint64_t keySpace = 512;
     /** Mean value size; actual sizes draw from [half, full]. */
@@ -99,21 +101,6 @@ struct RouterConfig
      * shard→host channel lookahead.
      */
     sim::Tick completionLatency = sim::usOf(1);
-    /**
-     * NVMe-style I/O queue pairs the host keeps per shard (>= 1).
-     * Batches are placed round-robin on the pairs, mirroring the
-     * device-level NvmeMultiQueue arbitration.
-     */
-    std::uint16_t queuePairs = 1;
-    /**
-     * In-flight batches each queue pair admits; 0 disables gating (a
-     * batch is always posted the tick it is formed — the legacy
-     * unbounded behaviour). With gating on, a batch formed while every
-     * pair of its shard is full parks in a host-side queue and is
-     * posted by the completion that frees a slot; the wait shows up as
-     * a ("router","queue") span and in the op's host-observed latency.
-     */
-    std::uint16_t queueDepth = 0;
 };
 
 /**
@@ -150,21 +137,17 @@ class ShardRouter
      * @pre every domain is registered with one engine, with channels
      *      host→shard (lookahead <= cfg.requestLatency) and
      *      shard→host (lookahead <= cfg.completionLatency).
-     * @param route shard-selection function; nullptr = key modulo
-     *              shard count.
+     * @param route shard-selection function (required).
      */
     ShardRouter(const RouterConfig &cfg, sim::Domain &hostDomain,
                 std::vector<sim::Domain *> shardDomains, ShardExec exec,
-                RouteFn route = nullptr);
+                RouteFn route);
     ~ShardRouter();
 
     /** Schedule the first arrival cycle on the host domain's queue. */
     void start();
 
     /** @name Rebalance hooks (host domain only) @{ */
-
-    /** Swap the shard-selection function (after a map flip). */
-    void setRoute(RouteFn route);
 
     /** Park matching ops instead of dispatching (nullptr = none). */
     void setHold(HoldFn hold) { hold_ = std::move(hold); }
@@ -192,34 +175,19 @@ class ShardRouter
      *  its trace never collides with an op's). Host domain only. */
     std::uint64_t mintTraceId() { return ++traceSeq_; }
 
-    /** Batches bound for @p shard whose completion has not returned —
-     *  posted batches plus batches parked behind full queue pairs
-     *  (both must drain before a rebalance victim is quiescent). */
-    std::uint64_t
-    outstanding(unsigned shard) const
+    /** Posted batches bound for @p shard whose completion has not
+     *  returned (all must drain before a rebalance victim is
+     *  quiescent). */
+    std::uint64_t outstanding(unsigned shard) const
     {
-        return outstanding_[shard] + pending_[shard].size();
+        return outstanding_[shard];
     }
-
-    /** Batches parked behind @p shard's full queue pairs right now. */
-    std::uint64_t
-    pendingBatches(unsigned shard) const
-    {
-        return pending_[shard].size();
-    }
-
-    /** Total batches that ever waited for a queue-pair slot. */
-    std::uint64_t batchesQueued() const { return batchesQueued_; }
 
     /** @} */
 
     /** @name Progress and statistics @{ */
     bool done() const
     {
-        for (const auto &p : pending_) {
-            if (!p.empty())
-                return false;
-        }
         return cyclesDone_ == cfg_.cycles && held_.empty() &&
                batchesCompleted_ == batchesDispatched_;
     }
@@ -248,30 +216,16 @@ class ShardRouter
     static constexpr std::size_t kLatencyWindow = 128;
 
   private:
-    /** A batch waiting for one of its shard's queue pairs to drain. */
-    struct PendingBatch
-    {
-        /** Tick the batch was formed (latency accrues from here). */
-        sim::Tick offered = 0;
-        std::vector<RouterOp> ops;
-    };
-
-    /** pickQueue() result when every pair of the shard is full. */
-    static constexpr std::size_t kNoQueue = ~std::size_t{0};
+    /** Fraction of generated operations that are SETs (the rest are
+     *  GETs). */
+    static constexpr double kSetFraction = 0.7;
 
     void cycle();
     unsigned routeOf(const RouterOp &op) const;
     void enqueue(const RouterOp &op);
     void flushBuckets();
-    /** Place a fresh batch: post it on a free queue pair or park it. */
+    /** Post a batch to @p shard at the host's now. */
     void dispatch(unsigned shard, std::vector<RouterOp> ops);
-    /** Post a batch on queue pair @p qp of @p shard. @p offered is the
-     *  tick the batch was formed; the gap to now is queueing delay. */
-    void dispatchOn(unsigned shard, std::size_t qp, sim::Tick offered,
-                    std::vector<RouterOp> ops);
-    /** Round-robin pick of a queue pair with a free slot (kNoQueue if
-     *  all full). Advances the shard's arbitration cursor on a hit. */
-    std::size_t pickQueue(unsigned shard);
     /** Push one completed-op latency into the shard's p99 ring. */
     void recordLatency(unsigned shard, std::uint64_t lat);
 
@@ -300,13 +254,6 @@ class ShardRouter
     std::vector<RouterOp> held_;
     /** In-flight (posted, uncompleted) batches per shard. */
     std::vector<std::uint64_t> outstanding_;
-    /** Batches parked behind full queue pairs, per shard, FIFO. */
-    std::vector<std::deque<PendingBatch>> pending_;
-    /** In-flight batches per shard per queue pair (gating state). */
-    std::vector<std::vector<std::uint32_t>> qpInflight_;
-    /** Per-shard round-robin arbitration cursor over the pairs. */
-    std::vector<std::size_t> qpCursor_;
-    std::uint64_t batchesQueued_ = 0;
 
     /** Host-side tracer (null = untraced run) and trace-id mint. */
     sim::Tracer *tracer_ = nullptr;

@@ -59,7 +59,6 @@ inline constexpr SpanName kSpanNames[] = {
     {"router", "doorbell"},
     {"router", "get"},
     {"router", "hold"},
-    {"router", "queue"},
     {"router", "set"},
     {"shard", "exec"},
     {"ssd", "blockRead"},

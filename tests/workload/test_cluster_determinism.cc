@@ -67,7 +67,7 @@ expectIdentical(const ClusterRun &a, const ClusterRun &b, const char *label)
     EXPECT_EQ(a.chromeJson, b.chromeJson);
 }
 
-/** Small-but-real workload: GC active, WAL wrapping, 4 shards. */
+/** Small-but-real workload: 4 shards on the GC preset (GC never runs). */
 ClusterConfig
 smallCluster()
 {
@@ -99,26 +99,6 @@ TEST(ClusterDeterminism, BlockWalRigIdenticalAcrossThreadCounts)
 {
     ClusterConfig cfg = smallCluster();
     cfg.wal = rigs::WalKind::block;
-
-    const ClusterRun serial = runAt(cfg, 1);
-    ASSERT_GT(serial.res.opsCompleted, 0u);
-    ASSERT_EQ(serial.res.opsCompleted, serial.res.opsRouted);
-
-    expectIdentical(runAt(cfg, 2), serial, "2 threads vs serial");
-    expectIdentical(runAt(cfg, 8), serial, "8 threads vs serial");
-}
-
-TEST(ClusterDeterminism, QueueGatedRigIdenticalAcrossThreadCounts)
-{
-    // NVMe queue-pair gating adds host-side parking and re-posting to
-    // the hot path; parked batches are released by completion events,
-    // so this exercises the host domain's ordering under load.
-    ClusterConfig cfg = smallCluster();
-    cfg.queuePairs = 2;
-    cfg.queueDepth = 1;
-    cfg.arrival.kind = sim::ArrivalSpec::Kind::bursty;
-    cfg.arrival.burstSize = 6;
-    cfg.arrival.burstGap = sim::usOf(5);
 
     const ClusterRun serial = runAt(cfg, 1);
     ASSERT_GT(serial.res.opsCompleted, 0u);
@@ -186,8 +166,8 @@ TEST(ClusterDeterminism, ReplicatedWalIdenticalAcrossThreadCounts)
 
 TEST(ClusterDeterminism, BurstyArrivalsIdenticalAcrossThreadCounts)
 {
-    // The other arrival process: shards fed by bursty cycle starts
-    // with no queue-pair gating.
+    // The other arrival process: shards fed by bursty cycle starts,
+    // so batches land while earlier ones are still executing.
     ClusterConfig cfg = smallCluster();
     cfg.arrival.kind = sim::ArrivalSpec::Kind::bursty;
     cfg.arrival.burstSize = 4;

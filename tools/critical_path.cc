@@ -17,7 +17,7 @@
  *   critical_path [--top=K] [--json] FILE
  *
  * Layers (span category -> blame bucket):
- *   router, cluster        -> router       (host-side queueing, holds)
+ *   router, cluster        -> router       (doorbell, completion, holds)
  *   shard                  -> store        (command execution)
  *   wal (repl.* names)     -> replication  (follower shipping)
  *   wal, ba                -> wal          (commit path)
